@@ -128,11 +128,14 @@ def _noisy_state(cfg: RunConfig):
     return circuit.noisy_psi442(cfg.visibility)
 
 
-def _records_for(cfg: RunConfig, counts_path):
+def _monte_carlo(cfg: RunConfig, counts_path) -> tomography.MonteCarloResult:
+    """Estimates with error bars from a counts file, or from counts simulated with the config."""
     if counts_path:
-        return tomography.records_from_json(counts_path)
-    plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
-    return tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
+        records = tomography.records_from_json(counts_path)
+    else:
+        plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
+        records = tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
+    return tomography.monte_carlo_errors(records, cfg.monte_carlo_trials, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +188,7 @@ def cmd_simulate_counts(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig, counts_path) -> int:
-    records = _records_for(cfg, counts_path)
-    result = tomography.monte_carlo_errors(records, cfg.monte_carlo_trials, cfg.seed)
+    result = _monte_carlo(cfg, counts_path)
     out = _out_dir(cfg)
     rows = [(e.bra, e.value, e.std_dev) for e in result.diagonals]
     rows += [(f"{e.bra}|{e.ket}", e.value, e.std_dev) for e in result.offdiagonals]
@@ -214,12 +216,15 @@ def cmd_witness(cfg: RunConfig, counts_path, use_fixture: bool) -> int:
         fidelity_std = fixtures.REFERENCE_EXPERIMENT["fidelity_std"]
         trials = 0
     else:
-        records = _records_for(cfg, counts_path)
-        result = tomography.monte_carlo_errors(records, cfg.monte_carlo_trials, cfg.seed)
+        result = _monte_carlo(cfg, counts_path)
         diagonals, offdiagonals = result.diagonals, result.offdiagonals
         fidelity, fidelity_std = result.fidelity, result.fidelity_std
         trials = result.trials
-    cert = witness.certify_dimensionality(fidelity, max(fidelity_std, 1e-12))
+    try:
+        cert = witness.certify_dimensionality(fidelity, fidelity_std)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; fidelity std is {fidelity_std} "
+                         f"after {trials} Monte Carlo trial(s)") from exc
     out = _out_dir(cfg)
     _write_json(cfg, out / "witness_report.json", {
         "elements": {
@@ -249,9 +254,7 @@ def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
     if use_fixture:
         value, std = published
     else:
-        records = _records_for(cfg, counts_path)
-        result = tomography.monte_carlo_errors(records, cfg.monte_carlo_trials, cfg.seed)
-        value, std = result.subspace_fidelities[pair]
+        value, std = _monte_carlo(cfg, counts_path).subspace_fidelities[pair]
     witnessed = witness.gme_witnessed(value)
     out = _out_dir(cfg)
     _write_json(cfg, out / "subspace_report.json", {

@@ -173,106 +173,38 @@ def _binomial_std(q: float, n: int) -> float:
     return math.sqrt(max(q * (1.0 - q), 0.0) / n)
 
 
-def _fraction(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+def _bin_rows(rows: np.ndarray, dims) -> list[tuple[tuple[int, ...], int]]:
+    """Each distinct row of a non-negative digit array with its count."""
+    bins = np.bincount(np.ravel_multi_index(rows.T, dims), minlength=math.prod(dims))
+    occupied = np.flatnonzero(bins)
+    digits = np.column_stack(np.unravel_index(occupied, dims))
+    return list(zip(map(tuple, digits.tolist()), bins[occupied].tolist()))
 
 
-def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
-    """Error rates from per-round outcome tuples.
+def _x_outcome_signs(label: str, layer: LayerSpec) -> tuple[int, ...]:
+    """Participant signs of an X-setting outcome label; all 0 for a lost round (``rest``)."""
+    chars = [label[party] for party in layer.party_indices]
+    if any(char not in "+-" for char in chars):
+        return (0,) * len(chars)
+    return tuple(1 if char == "+" else -1 for char in chars)
 
-    ``samples["Z"]`` holds (n, 3) outcome digits; ``samples["X"]`` holds
-    per-round sigma_x signs (+1/-1) for the layer's participants, with 0
-    marking rounds lost outside the subspace.  Rounds are sifted into the
-    layer before any error counting.  All pairwise Z error rates are
-    reported for tripartite layers.
+
+def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
+    """Sift, map to key bits and count errors.
+
+    ``z_counts`` pairs per-party outcome digits with counts; ``x_counts``
+    pairs participant sigma_x signs (0 for a lost round) with counts.
+    All pairwise Z error rates are reported for tripartite layers.
     """
-    z = np.asarray(samples["Z"], dtype=int)
-    x = np.asarray(samples["X"], dtype=int)
-    if z.size == 0 or x.size == 0:
-        raise ValueError("empty sample set")
-
-    cols = list(layer.party_indices)
-    digits = z[:, cols]
-    pairs = layer.digit_pairs
-    sift = np.ones(len(z), dtype=bool)
-    for k, (a, b) in enumerate(pairs):
-        sift &= (digits[:, k] == a) | (digits[:, k] == b)
-    kept = digits[sift]
-    if kept.shape[0] == 0:
-        raise ValueError(f"no Z rounds survive sifting into layer {layer.layer_id}")
-    bits = np.zeros_like(kept)
-    for k, (a, b) in enumerate(pairs):
-        bits[:, k] = (kept[:, k] == b).astype(int)
-    n_z = kept.shape[0]
-    all_agree = np.all(bits == bits[:, :1], axis=1)
-    qber_z = float(np.mean(~all_agree))
-
-    pairwise = {}
-    if layer.is_tripartite:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            q = float(np.mean(bits[:, i] != bits[:, j]))
-            key = layer.participants[i] + layer.participants[j]
-            pairwise[key.lower()] = (q, _binomial_std(q, n_z))
-
-    valid = np.all(x != 0, axis=1)
-    x_kept = x[valid]
-    if x_kept.shape[0] == 0:
-        raise ValueError(f"no X rounds survive sifting into layer {layer.layer_id}")
-    n_x = x_kept.shape[0]
-    qber_x = float(np.mean(np.prod(x_kept, axis=1) != 1))
-
-    extra = {}
-    for key, (q, s) in pairwise.items():
-        extra[f"qber_z_{key}"] = q
-        extra[f"qber_z_{key}_std"] = s
-    return QberReport(
-        layer_id=layer.layer_id,
-        qber_z=qber_z,
-        qber_z_std=_binomial_std(qber_z, n_z),
-        qber_x=qber_x,
-        qber_x_std=_binomial_std(qber_x, n_x),
-        n_z_sifted=n_z,
-        n_x_sifted=n_x,
-        sift_fraction_z=float(np.mean(sift)),
-        sift_fraction_x=float(np.mean(valid)),
-        **extra,
-    )
-
-
-def _x_outcome_signs(label: str, layer: LayerSpec):
-    """Map an X-setting outcome label to participant signs (None if lost)."""
-    if label == "rest":
-        return None
-    signs = []
-    for party in layer.party_indices:
-        char = label[party]
-        if char not in "+-":
-            return None
-        signs.append(1 if char == "+" else -1)
-    return tuple(signs)
-
-
-def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
-    """Error rates from aggregated counts (computational + X settings).
-
-    ``count_tables`` maps setting labels to outcome->counts dicts; it must
-    contain "Z" and the layer's X setting.
-    """
-    if "Z" not in count_tables:
-        raise ValueError("missing computational setting 'Z' in counts")
-    x_label = layer.x_setting_label
-    if x_label not in count_tables:
-        raise ValueError(f"missing setting {x_label!r} for layer {layer.layer_id}")
-
     pairs = layer.digit_pairs
     cols = layer.party_indices
     total_z = err_z = 0.0
     combos = tuple((i, j) for i in range(len(cols)) for j in range(i + 1, len(cols)))
     pair_err = {c: 0.0 for c in combos}
     grand_z = 0.0
-    for ket, c in count_tables["Z"].items():
+    for ket, c in z_counts:
         grand_z += c
-        digits = [int(ket[p]) for p in cols]
+        digits = [ket[p] for p in cols]
         if any(d not in pairs[k] for k, d in enumerate(digits)):
             continue
         bits = [pairs[k].index(d) for k, d in enumerate(digits)]
@@ -289,10 +221,9 @@ def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
 
     total_x = err_x = 0.0
     grand_x = 0.0
-    for outcome, c in count_tables[x_label].items():
+    for signs, c in x_counts:
         grand_x += c
-        signs = _x_outcome_signs(outcome, layer)
-        if signs is None:
+        if 0 in signs:
             continue
         total_x += c
         if math.prod(signs) != 1:
@@ -317,10 +248,46 @@ def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
         qber_x_std=_binomial_std(qber_x, int(total_x)),
         n_z_sifted=int(total_z),
         n_x_sifted=int(total_x),
-        sift_fraction_z=_fraction(total_z, grand_z),
-        sift_fraction_x=_fraction(total_x, grand_x),
+        sift_fraction_z=total_z / grand_z,
+        sift_fraction_x=total_x / grand_x,
         **extra,
     )
+
+
+def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
+    """Error rates from per-round outcome tuples.
+
+    ``samples["Z"]`` holds (n, 3) outcome digits; ``samples["X"]`` holds
+    per-round sigma_x signs (+1/-1) for the layer's participants, with 0
+    marking rounds lost outside the subspace.  The rounds are binned into
+    counts and handed to the same sifting and error counting as
+    :func:`qbers_from_counts`.
+    """
+    z = np.asarray(samples["Z"], dtype=int)
+    x = np.asarray(samples["X"], dtype=int)
+    if z.size == 0 or x.size == 0:
+        raise ValueError("empty sample set")
+    z_counts = _bin_rows(z, tuple(z.max(axis=0) + 1))
+    x_counts = [(tuple(d - 1 for d in row), c)
+                for row, c in _bin_rows(x + 1, (3,) * x.shape[1])]
+    return _count_qbers(z_counts, x_counts, layer)
+
+
+def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
+    """Error rates from aggregated counts (computational + X settings).
+
+    ``count_tables`` maps setting labels to outcome->counts dicts; it must
+    contain "Z" and the layer's X setting.
+    """
+    if "Z" not in count_tables:
+        raise ValueError("missing computational setting 'Z' in counts")
+    x_label = layer.x_setting_label
+    if x_label not in count_tables:
+        raise ValueError(f"missing setting {x_label!r} for layer {layer.layer_id}")
+    z_counts = [(tuple(int(d) for d in ket), c) for ket, c in count_tables["Z"].items()]
+    x_counts = [(_x_outcome_signs(outcome, layer), c)
+                for outcome, c in count_tables[x_label].items()]
+    return _count_qbers(z_counts, x_counts, layer)
 
 
 def asymptotic_key_rate(report: QberReport, reference: str = "A") -> LayerKeyReport:
@@ -378,12 +345,7 @@ def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -
     layer_index = LAYERS.index(layer) if layer in LAYERS else 97
     rng = np.random.default_rng([int(seed), _X_STREAM_BASE + layer_index])
     drawn = rng.choice(len(labels), size=n, p=p)
-    sign_table = np.zeros((len(labels), len(layer.participants)), dtype=int)
-    for k, lab in enumerate(labels):
-        signs = _x_outcome_signs(lab, layer)
-        if signs is not None:
-            sign_table[k] = signs
-    return sign_table[drawn]
+    return np.array([_x_outcome_signs(lab, layer) for lab in labels])[drawn]
 
 
 def empirical_mutual_information(x, y) -> float:

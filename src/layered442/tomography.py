@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DensityOperator
-from .witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
+from .witness import (
+    ALL_KETS,
+    OFFDIAG_PAIRS,
+    ElementEstimate,
+    fidelity_from_arrays,
+    fidelity_from_elements,
+    subspace_fidelity,
+)
 
 __all__ = [
     "DIMS_442",
@@ -387,11 +394,9 @@ def _diagonal_values(z_counts: np.ndarray) -> np.ndarray:
     return z_counts / safe
 
 
-def _element_value(arrays, pair, trial_shape=()) -> np.ndarray:
-    value = np.zeros(trial_shape) if trial_shape else 0.0
+def _element_value(arrays, pair) -> np.ndarray:
+    value = 0.0
     for label, coeff, selector in ELEMENT_PLANS[pair]:
-        if label not in arrays:
-            raise MissingSettingError(label)
         counts = arrays[label]
         weights = _outcome_values(parse_setting_label(label), selector)
         total = counts.sum(axis=-1)
@@ -400,15 +405,10 @@ def _element_value(arrays, pair, trial_shape=()) -> np.ndarray:
     return value
 
 
-def _signal_indices() -> list[int]:
-    return [ALL_KETS.index(k) for k in ("000", "111", "220", "331")]
-
-
-def _fidelity_value(arrays) -> np.ndarray:
-    diag = _diagonal_values(arrays[Z_LABEL])
-    sig = diag[..., _signal_indices()].sum(axis=-1)
-    off = sum(_element_value(arrays, pair, trial_shape=np.shape(sig)) for pair in OFFDIAG_PAIRS)
-    return (sig + 2.0 * off) / 4.0
+def _element_arrays(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (..., 32) and off-diagonals (..., 6); trial axes broadcast."""
+    off = np.stack([_element_value(arrays, pair) for pair in OFFDIAG_PAIRS], axis=-1)
+    return _diagonal_values(arrays[Z_LABEL]), off
 
 
 def required_settings() -> tuple[str, ...]:
@@ -430,7 +430,7 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
         raise MissingSettingError(missing)
     z_counts = arrays[Z_LABEL]
     z_total = z_counts.sum()
-    diag_vals = _diagonal_values(z_counts)
+    diag_vals, off_vals = _element_arrays(arrays)
     diagonals = tuple(
         ElementEstimate(
             ket, ket, float(v), 0.0,
@@ -438,15 +438,15 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
         )
         for ket, v, c in zip(ALL_KETS, diag_vals, z_counts)
     )
-    offdiagonals = []
-    for pair in OFFDIAG_PAIRS:
-        value = float(_element_value(arrays, pair))
-        low = bool(any(
-            arrays[label].sum() < LOW_STATS_THRESHOLD
-            for label, _, _ in ELEMENT_PLANS[pair]
-        ))
-        offdiagonals.append(ElementEstimate(pair[0], pair[1], value, 0.0, low_stats=low))
-    return diagonals, tuple(offdiagonals)
+    offdiagonals = tuple(
+        ElementEstimate(
+            pair[0], pair[1], float(v), 0.0,
+            low_stats=any(arrays[label].sum() < LOW_STATS_THRESHOLD
+                          for label, _, _ in ELEMENT_PLANS[pair]),
+        )
+        for pair, v in zip(OFFDIAG_PAIRS, off_vals)
+    )
+    return diagonals, offdiagonals
 
 
 @dataclass(frozen=True)
@@ -469,57 +469,49 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     Every observed count is resampled as Poisson(count) per trial; all
     elements, the target fidelity and the six renormalized subspace
     fidelities are recomputed per trial, and the sample standard
-    deviations become the quoted errors.  Fewer than 100 trials is
-    allowed but flagged degenerate.
+    deviations become the quoted errors.  Each setting's resampling
+    stream is keyed by (seed, index in :func:`standard_plan`), so the
+    result does not depend on the order of ``records``.  Fewer than 100
+    trials is allowed but flagged degenerate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    central_diag, central_off = estimate_elements(records)
+    fidelity = fidelity_from_elements(central_diag, central_off)
     arrays = _count_arrays(records)
-    missing = [label for label in required_settings() if label not in arrays]
-    if missing:
-        raise MissingSettingError(missing)
-    labels = list(arrays)
     resampled = {}
-    for index, label in enumerate(labels):
+    for index, label in enumerate(required_settings()):
         rng = np.random.default_rng([int(seed), index])
         resampled[label] = rng.poisson(arrays[label], size=(trials, arrays[label].size)).astype(float)
+    diag_samples, off_samples = _element_arrays(resampled)
+    fid_samples = fidelity_from_arrays(diag_samples, off_samples)
 
     def std(samples):
         return float(np.std(samples, ddof=1)) if trials > 1 else 0.0
 
-    diag_samples = _diagonal_values(resampled[Z_LABEL])
-    central_diag, central_off = estimate_elements(records)
     diagonals = tuple(
-        ElementEstimate(e.bra, e.ket, e.value, std(diag_samples[:, n]), e.low_stats)
-        for n, e in enumerate(central_diag)
+        ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats)
+        for e, samples in zip(central_diag, diag_samples.T)
     )
-    offdiagonals = []
-    off_samples = {}
-    for e in central_off:
-        samples = _element_value(resampled, e.pair(), trial_shape=(trials,))
-        off_samples[e.pair()] = samples
-        offdiagonals.append(ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats))
-
-    fid_samples = _fidelity_value(resampled)
+    offdiagonals = tuple(
+        ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats)
+        for e, samples in zip(central_off, off_samples.T)
+    )
     subspace = {}
-    sig = _signal_indices()
-    for pair in OFFDIAG_PAIRS:
-        i0 = sig[("000", "111", "220", "331").index(pair[0])]
-        i1 = sig[("000", "111", "220", "331").index(pair[1])]
-        pop = diag_samples[:, i0] + diag_samples[:, i1]
-        pop = np.where(pop > 0, pop, np.nan)
-        fsub = (pop + 2.0 * off_samples[pair]) / (2.0 * pop)
-        d = {e.pair(): e for e in central_diag}
-        central_pop = d[(pair[0], pair[0])].value + d[(pair[1], pair[1])].value
-        off_central = next(e.value for e in central_off if e.pair() == pair)
-        central = (central_pop + 2.0 * off_central) / (2.0 * central_pop) if central_pop > 0 else float("nan")
-        spread = float(np.nanstd(fsub, ddof=1)) if trials > 1 else 0.0
-        subspace[pair] = (central, spread)
+    for e, samples in zip(central_off, off_samples.T):
+        i, j = ALL_KETS.index(e.bra), ALL_KETS.index(e.ket)
+        if central_diag[i].value + central_diag[j].value > 0:
+            central = subspace_fidelity(central_diag[i].value, central_diag[j].value, e.value)
+            fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], samples)
+            spread = float(np.nanstd(fsub, ddof=1)) if trials > 1 else 0.0
+            subspace[e.pair()] = (central, spread)
+        else:
+            subspace[e.pair()] = (float("nan"), float("nan"))
 
     return MonteCarloResult(
         diagonals=diagonals,
-        offdiagonals=tuple(offdiagonals),
-        fidelity=float(_fidelity_value(arrays)),
+        offdiagonals=offdiagonals,
+        fidelity=fidelity,
         fidelity_std=std(fid_samples),
         fidelity_mean=float(np.mean(fid_samples)),
         subspace_fidelities=subspace,

@@ -14,11 +14,12 @@ into two-level sigma_x / sigma_y correlators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hilbert import PureState, haar_random_state, schmidt_decompose
+from .circuit import SIGNAL_KETS
+from .hilbert import PureState, haar_random_state, schmidt_decompose, schmidt_reconstruct
 
 __all__ = [
     "ALL_KETS",
@@ -32,6 +33,7 @@ __all__ = [
     "max_overlap_bounded_rank",
     "fmax_class_bound",
     "fidelity_from_elements",
+    "fidelity_from_arrays",
     "offdiag_from_correlators",
     "offdiag_from_pair_correlators",
     "subspace_fidelity",
@@ -41,13 +43,13 @@ __all__ = [
     "search_class_overlap",
 ]
 
-SIGNAL_KETS = ("000", "111", "220", "331")
-
 #: All computational kets of the (4, 4, 2) space in flat-index order.
 ALL_KETS = tuple(f"{i}{j}{k}" for i in range(4) for j in range(4) for k in range(2))
 
 #: The six unique coherence pairs of the layered target, bra < ket.
 OFFDIAG_PAIRS = tuple(itertools.combinations(SIGNAL_KETS, 2))
+
+_SIGNAL_INDICES = [ALL_KETS.index(k) for k in SIGNAL_KETS]
 
 #: Maximal overlap of any (4,3,2)-class state with the layered target.
 FMAX_BOUND = 0.75
@@ -165,24 +167,48 @@ def fidelity_from_elements(diagonals, offdiagonals) -> float:
     """Assemble the target fidelity from measured matrix elements.
 
     Requires all 32 diagonal estimates and the 6 unique real off-diagonal
-    parts.  Diagonals are renormalized to unit sum (allowed drift 2%);
-    off-diagonals are taken as measured, each already normalized within
-    its own measurement setting.
+    parts; the arithmetic is :func:`fidelity_from_arrays`.
     """
     diag = _index_elements(diagonals)
     for ket in ALL_KETS:
         if (ket, ket) not in diag:
             raise ValueError(f"missing diagonal element |{ket}><{ket}|")
-    total = sum(diag[(k, k)].value for k in ALL_KETS)
-    if abs(total - 1.0) > DIAG_SUM_TOL:
-        raise ValueError(f"diagonal elements sum to {total:.4f}, outside the 2% band")
     off = _index_elements(offdiagonals)
     for pair in OFFDIAG_PAIRS:
         if pair not in off:
             raise ValueError(f"missing off-diagonal element |{pair[0]}><{pair[1]}|")
-    diag_sum = sum(diag[(k, k)].value for k in SIGNAL_KETS) / total
-    off_sum = sum(off[p].value for p in OFFDIAG_PAIRS)
-    return (diag_sum + 2.0 * off_sum) / 4.0
+    return fidelity_from_arrays([diag[(k, k)].value for k in ALL_KETS],
+                                [off[p].value for p in OFFDIAG_PAIRS])
+
+
+def _ordered_sum(values: np.ndarray):
+    """Sum over the last axis, left to right like the builtin ``sum``.
+
+    numpy's pairwise summation would round differently, and published
+    fidelities must not change in the last bit.
+    """
+    return sum(np.moveaxis(values, -1, 0))
+
+
+def fidelity_from_arrays(diagonals, offdiagonals):
+    """Target fidelity from element arrays, broadcasting over leading axes.
+
+    ``diagonals`` has shape (..., 32) in ``ALL_KETS`` order and
+    ``offdiagonals`` shape (..., 6) in ``OFFDIAG_PAIRS`` order, so a
+    leading trial axis gives one fidelity per trial.  Diagonals are
+    renormalized to unit sum (allowed drift 2%, checked for every entry);
+    off-diagonals are taken as measured, each already normalized within
+    its own measurement setting.
+    """
+    diag = np.asarray(diagonals, dtype=float)
+    total = _ordered_sum(diag)
+    drift = np.abs(total - 1.0)
+    if np.any(drift > DIAG_SUM_TOL):
+        worst = np.ravel(total)[np.argmax(drift)]
+        raise ValueError(f"diagonal elements sum to {worst:.4f}, outside the 2% band")
+    diag_sum = _ordered_sum(diag[..., _SIGNAL_INDICES]) / total
+    fidelity = (diag_sum + 2.0 * _ordered_sum(np.asarray(offdiagonals, dtype=float))) / 4.0
+    return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
 def _check_expectation(name: str, value: float):
@@ -214,20 +240,23 @@ def offdiag_from_pair_correlators(exp_xx: float, exp_yy: float) -> float:
     return (exp_xx - exp_yy) / 4.0
 
 
-def subspace_fidelity(diag_ijk: float, diag_lmn: float, offdiag: float,
-                      renormalize: bool = True) -> float:
+def subspace_fidelity(diag_ijk, diag_lmn, offdiag, renormalize: bool = True):
     """Fidelity with (|ijk> + |lmn>)/sqrt(2) inside its two-level subspace.
 
     With ``renormalize`` the elements are divided by the subspace
     population so that the result refers to the state conditioned on the
-    subspace.
+    subspace.  Array arguments broadcast, giving one fidelity per entry
+    (e.g. per Monte Carlo trial) and nan where the population is zero;
+    scalar arguments of zero population raise.
     """
-    pop = diag_ijk + diag_lmn
+    pop = np.asarray(diag_ijk + diag_lmn)
+    scale = 1.0
     if renormalize:
-        if pop <= 0:
+        if pop.ndim == 0 and pop <= 0:
             raise ValueError("subspace population is zero, cannot renormalize")
-        diag_ijk, diag_lmn, offdiag = diag_ijk / pop, diag_lmn / pop, offdiag / pop
-    return (diag_ijk + diag_lmn + 2.0 * offdiag) / 2.0
+        scale = np.where(pop > 0, pop, np.nan)
+    fidelity = (pop + 2.0 * offdiag) / (2.0 * scale)
+    return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
 def ghz_witness_value(fidelity: float) -> float:
@@ -268,12 +297,7 @@ def _truncate_to_rank(psi: PureState, party: int, cap: int) -> PureState:
     coeff = data.coefficients.copy()
     coeff[cap:] = 0.0
     coeff /= np.linalg.norm(coeff)
-    mat = (data.left_vectors * coeff) @ data.right_vectors.T
-    n = psi.num_parties
-    rest = tuple(p for p in range(n) if p != party)
-    perm = (party,) + rest
-    shaped = mat.reshape(tuple(psi.dims[p] for p in perm))
-    return PureState(psi.dims, np.transpose(shaped, np.argsort(perm)).reshape(-1))
+    return schmidt_reconstruct(replace(data, coefficients=coeff))
 
 
 def _overlap(target: PureState, phi: PureState) -> float:

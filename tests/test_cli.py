@@ -113,6 +113,36 @@ class TestWitness:
         err = capsys.readouterr().err
         assert "X03-X03-X01" in err and "Y03-Y03-X01" in err
 
+    def test_shuffled_counts_byte_identical(self, tmp_path):
+        code, out = run(tmp_path, "simulate-counts")
+        assert code == 0
+        data = read_json(out / "counts.json")
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(data[::-1]))
+        reports = []
+        for counts in (out / "counts.json", shuffled):
+            code, _ = run(tmp_path, "--trials", "200", "witness", "--counts", str(counts))
+            assert code == 0
+            reports.append((out / "witness_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_single_trial_not_certified(self, tmp_path, capsys):
+        code, out = run(tmp_path, "--trials", "1", "witness")
+        assert code == 2
+        assert "1 Monte Carlo trial" in capsys.readouterr().err
+        assert not (out / "witness_report.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_counts_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate-counts")
+        assert code == 0
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps([dict(r, counts=0) for r in read_json(out / "counts.json")]))
+        code, _ = run(tmp_path, "witness", "--counts", str(zeros))
+        assert code == 2
+        assert "diagonal elements sum to 0.0000" in capsys.readouterr().err
+        assert not (out / "witness_report.json").exists()
+
     def test_consistency_warnings_flag_excess_coherence(self):
         from layered442.cli import _consistency_warnings
         from layered442.witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
