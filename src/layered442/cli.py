@@ -301,6 +301,8 @@ def _qkd_rows_counts(counts_path):
 
 
 def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int) -> int:
+    if rounds < 1:
+        raise ValueError(f"--rounds must be >= 1, got {rounds}")
     if use_fixture:
         rows = _qkd_rows_fixture()
     elif counts_path:
@@ -332,6 +334,8 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int) -> int:
 
 
 def cmd_fmax(cfg: RunConfig, ranks, restarts: int) -> int:
+    if restarts < 0:
+        raise ValueError(f"--restarts must be >= 0 (0 skips the search), got {restarts}")
     target = circuit.make_psi442()
     cls = witness.RankVectorClass(tuple(ranks))
     bound = witness.fmax_class_bound(target, cls)

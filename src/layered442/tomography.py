@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,8 +108,11 @@ class CountRecord:
     counts: float
 
     def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be non-negative")
+        c = self.counts
+        if (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                or not math.isfinite(c) or c < 0):
+            raise ValueError(f"counts for setting {self.setting!r} outcome {self.outcome!r} "
+                             f"must be a finite non-negative number, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,15 @@ def records_from_json(path) -> list[CountRecord]:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError("count file must be a JSON array of records")
-    return [CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"]) for d in data]
+    records = []
+    for index, d in enumerate(data):
+        if not isinstance(d, dict):
+            raise ValueError(f"count record {index} is not a JSON object: {d!r}")
+        missing = [key for key in ("setting", "outcome", "counts") if key not in d]
+        if missing:
+            raise ValueError(f"count record {index} lacks {', '.join(map(repr, missing))}")
+        records.append(CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"]))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +386,10 @@ def _count_arrays(records) -> dict[str, np.ndarray]:
     """Counts per setting, aligned with the canonical outcome order."""
     by_setting: dict[str, dict[str, float]] = {}
     for r in records:
-        by_setting.setdefault(r.setting, {})
-        by_setting[r.setting][r.outcome] = by_setting[r.setting].get(r.outcome, 0.0) + r.counts
+        table = by_setting.setdefault(r.setting, {})
+        if r.outcome in table:
+            raise ValueError(f"duplicate record for setting {r.setting!r} outcome {r.outcome!r}")
+        table[r.outcome] = float(r.counts)
     arrays = {}
     for label, table in by_setting.items():
         setting = parse_setting_label(label)

@@ -60,6 +60,9 @@ GME_BOUND = 0.5
 # Tolerance for renormalizing a diagonal set whose sum drifted from 1.
 DIAG_SUM_TOL = 0.02
 
+#: Random local-unitary steps per restart of :func:`search_class_overlap`.
+CLIMB_STEPS = 10
+
 
 @dataclass(frozen=True)
 class ElementEstimate:
@@ -300,8 +303,8 @@ def _truncate_to_rank(psi: PureState, party: int, cap: int) -> PureState:
     return schmidt_reconstruct(replace(data, coefficients=coeff))
 
 
-def _overlap(target: PureState, phi: PureState) -> float:
-    return float(abs(np.vdot(target.amplitudes, phi.amplitudes)) ** 2)
+def _overlap(target: PureState, amplitudes: np.ndarray) -> float:
+    return float(abs(np.vdot(target.amplitudes, amplitudes)) ** 2)
 
 
 def _random_local_unitaries(dims, eps: float, rng: np.random.Generator):
@@ -314,62 +317,55 @@ def _random_local_unitaries(dims, eps: float, rng: np.random.Generator):
     return ops
 
 
-def _apply_locals(psi: PureState, ops) -> PureState:
-    tensor = psi.amplitudes.reshape(psi.dims)
-    n = psi.num_parties
-    for p, u in enumerate(ops):
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [p])), 0, p)
-    vec = tensor.reshape(-1)
-    return PureState(psi.dims, vec / np.linalg.norm(vec))
+def _apply_locals(tensor: np.ndarray, ops) -> np.ndarray:
+    """Apply ``(party, operator)`` pairs, square or not, to an amplitude tensor."""
+    for p, op in ops:
+        tensor = np.moveaxis(np.tensordot(op, tensor, axes=([1], [p])), 0, p)
+    return tensor
 
 
-def _subspace_refine(target: PureState, phi: PureState, party: int, cap: int) -> float:
-    """Best overlap of a class state supported on phi's current local span.
+def _subspace_refine(target: PureState, phi: PureState, constrained) -> float:
+    """Best overlap of a class state supported on phi's current local spans.
 
-    For a fixed ``cap``-dimensional subspace S on ``party`` the optimal
-    state is the normalized projection of the target, with overlap
-    ||(P_S x I)|target>||^2.
+    For fixed ``cap``-dimensional subspaces S_p on the constrained parties
+    the optimal state is the normalized projection of the target, with
+    overlap ||(P_S0 x P_S1 x ...)|target>||^2.
     """
-    basis = schmidt_decompose(phi, (party,)).left_vectors[:, :cap]
-    n = target.num_parties
-    rest = tuple(p for p in range(n) if p != party)
-    tmat = np.transpose(target.amplitudes.reshape(target.dims), (party,) + rest)
-    tmat = tmat.reshape(target.dims[party], -1)
-    return float(np.linalg.norm(basis.conj().T @ tmat) ** 2)
+    isometries = [(p, schmidt_decompose(phi, (p,)).left_vectors[:, :cap].conj().T)
+                  for p, cap in constrained]
+    projected = _apply_locals(target.amplitudes.reshape(target.dims), isometries)
+    return float(np.linalg.norm(projected) ** 2)
 
 
-def _restart_best(target: PureState, member, rng: np.random.Generator,
-                  perturb_iters: int, refine: bool) -> float:
+def _restart_best(target: PureState, member, rng: np.random.Generator) -> float:
     constrained = [(p, cap) for p, cap in enumerate(member) if cap < target.dims[p]]
     phi = haar_random_state(target.dims, rng)
     for p, cap in constrained:
         phi = _truncate_to_rank(phi, p, cap)
-    best = _overlap(target, phi)
+    # Local unitaries keep every Schmidt rank: the climb never leaves the class.
+    amplitudes = phi.amplitudes
+    best = _overlap(target, amplitudes)
     eps = 0.4
-    for _ in range(perturb_iters):
-        cand = _apply_locals(phi, _random_local_unitaries(target.dims, eps, rng))
-        for p, cap in constrained:
-            cand = _truncate_to_rank(cand, p, cap)
+    for _ in range(CLIMB_STEPS):
+        ops = enumerate(_random_local_unitaries(target.dims, eps, rng))
+        cand = _apply_locals(amplitudes.reshape(target.dims), ops).reshape(-1)
+        cand = cand / np.linalg.norm(cand)
         val = _overlap(target, cand)
         if val > best:
-            best, phi = val, cand
+            best, amplitudes = val, cand
         else:
             eps *= 0.8
-    if refine:
-        for p, cap in constrained:
-            best = max(best, _subspace_refine(target, phi, p, cap))
-    return best
+    return max(best, _subspace_refine(target, PureState(target.dims, amplitudes), constrained))
 
 
 def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
-                         seed: int, perturb_iters: int = 10,
-                         refine: bool = True) -> np.ndarray:
+                         seed: int) -> np.ndarray:
     """Hill-climbing search for the best class overlap with ``target``.
 
     Each restart draws a Haar-random state, truncates it into the class
     (truncated-Schmidt ansatz), climbs with small random local unitaries,
-    and optionally finishes with the closed-form best state on the reached
-    local subspace.  Restarts are seeded independently by index, so the
+    and finishes with the closed-form best class state on the local
+    subspaces reached.  Restarts are seeded independently by index, so the
     search is deterministic and parallelizable.  Returns the per-restart
     best overlaps; none may exceed the analytic class bound.
     """
@@ -379,5 +375,5 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
     out = np.empty(restarts)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        out[r] = _restart_best(target, members[r % len(members)], rng, perturb_iters, refine)
+        out[r] = _restart_best(target, members[r % len(members)], rng)
     return out

@@ -22,6 +22,9 @@ def read_csv(path):
     return list(csv.DictReader(rows))
 
 
+BAD_COUNT = "counts for setting 'Z' outcome '000' must be a finite non-negative number,"
+
+
 class TestGenState:
     def test_default_run(self, tmp_path):
         code, out = run(tmp_path, "gen-state")
@@ -143,6 +146,29 @@ class TestWitness:
         assert "diagonal elements sum to 0.0000" in capsys.readouterr().err
         assert not (out / "witness_report.json").exists()
 
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda d: d[0].update(counts="7"), f"{BAD_COUNT} got '7'"),
+        (lambda d: d[0].update(counts=None), f"{BAD_COUNT} got None"),
+        (lambda d: d[0].update(counts=True), f"{BAD_COUNT} got True"),
+        (lambda d: d[0].update(counts=float("nan")), f"{BAD_COUNT} got nan"),
+        (lambda d: d[0].update(counts=float("inf")), f"{BAD_COUNT} got inf"),
+        (lambda d: d.__setitem__(3, ["Z", "000", 3]), "count record 3 is not a JSON object"),
+        (lambda d: d[5].pop("outcome"), "count record 5 lacks 'outcome'"),
+        (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
+    ], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
+            "duplicate"])
+    def test_malformed_counts_rejected(self, tmp_path, capsys, edit, cause):
+        code, out = run(tmp_path, "simulate-counts")
+        assert code == 0
+        data = read_json(out / "counts.json")
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, _ = run(tmp_path, "witness", "--counts", str(bad))
+        assert code == 2
+        assert cause in capsys.readouterr().err
+        assert not (out / "witness_report.json").exists()
+
     def test_consistency_warnings_flag_excess_coherence(self):
         from layered442.cli import _consistency_warnings
         from layered442.witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
@@ -222,6 +248,12 @@ class TestQkd:
         assert len(rows) == 4
         assert all(r["key_per_round_published"] == "" for r in rows)
 
+    def test_negative_rounds_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "qkd", "--rounds", "-1")
+        assert code == 2
+        assert "--rounds must be >= 1" in capsys.readouterr().err
+        assert not (out / "qkd_report.csv").exists()
+
 
 class TestFmax:
     def test_bound_report(self, tmp_path):
@@ -237,6 +269,19 @@ class TestFmax:
         report = read_json(out / "fmax_report.json")
         assert report["search"]["within_bound"] is True
         assert report["search"]["max_overlap"] <= 0.75 + 1e-6
+
+    def test_two_constrained_parties_stay_within_bound(self, tmp_path):
+        code, out = run(tmp_path, "fmax", "--ranks", "2", "3", "2", "--restarts", "50")
+        assert code == 0
+        report = read_json(out / "fmax_report.json")
+        assert report["bound"] == pytest.approx(0.5, abs=1e-12)
+        assert report["search"]["max_overlap"] <= 0.5 + 1e-9
+
+    def test_negative_restarts_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "fmax", "--restarts", "-5")
+        assert code == 2
+        assert "--restarts must be >= 0" in capsys.readouterr().err
+        assert not (out / "fmax_report.json").exists()
 
 
 class TestConfig:

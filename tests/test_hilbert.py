@@ -1,7 +1,11 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442
 from layered442.hilbert import (
@@ -195,6 +199,27 @@ class TestRankVector:
         amps = np.zeros(16)
         amps[0] = amps[5] = 1 / math.sqrt(2)
         assert rank_vector(PureState((4, 4), amps)) == (2, 2)
+
+
+def ginibre_unitary(d, rng):
+    """Unitary Q factor of a complex Ginibre matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), party=st.integers(0, 2), data=st.data())
+def test_local_unitaries_keep_a_truncated_rank(seed, party, data):
+    dims = (4, 4, 2)
+    cap = data.draw(st.integers(1, dims[party] - 1), label="cap")
+    rng = np.random.default_rng(seed)
+    schmidt = schmidt_decompose(haar_random_state(dims, rng), (party,))
+    coeff = np.where(np.arange(schmidt.coefficients.size) < cap, schmidt.coefficients, 0.0)
+    truncated = schmidt_reconstruct(
+        dataclasses.replace(schmidt, coefficients=coeff / np.linalg.norm(coeff)))
+    local = functools.reduce(np.kron, [ginibre_unitary(d, rng) for d in dims])
+    moved = PureState(dims, local @ truncated.amplitudes)
+    assert np.all(schmidt_decompose(moved, (party,)).coefficients[cap:] <= 1e-12)
 
 
 class TestFidelity:

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442
 from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements
@@ -139,6 +142,21 @@ class TestClassBound:
         a = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
         b = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
         assert np.array_equal(a, b)
+
+
+#: Every rank vector with some party permutation that fits dims (4, 4, 2).
+VALID_CLASSES = tuple(
+    ranks for ranks in itertools.product(range(1, 5), repeat=3)
+    if any(all(r <= d for r, d in zip(perm, (4, 4, 2))) for perm in itertools.permutations(ranks))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ranks=st.sampled_from(VALID_CLASSES), seed=st.integers(0, 2**16))
+def test_search_never_exceeds_class_bound(ranks, seed):
+    target, cls = make_psi442(), RankVectorClass(ranks)
+    overlaps = search_class_overlap(target, cls, 4, seed)
+    assert overlaps.max() <= fmax_class_bound(target, cls) + 1e-9
 
 
 class TestFidelityFromElements:
