@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -46,6 +47,20 @@ class RunConfig:
     no_timestamp: bool = False
 
     def __post_init__(self):
+        for key in ("seed", "monte_carlo_trials"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in ("visibility", "rate", "integration_time"):
+            value = getattr(self, key)
+            # NaN, infinities and integers too large for a float all fail the bound.
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not abs(value) <= sys.float_info.max):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.no_timestamp, bool):
+            raise ValueError(f"no_timestamp must be true or false, got {self.no_timestamp!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
         if self.seed < 0:
@@ -61,6 +76,8 @@ def _load_config(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(f"config file must be a JSON object, got {type(file_values).__name__}")
         unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

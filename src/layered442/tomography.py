@@ -19,6 +19,7 @@ arrays of ``{"setting", "outcome", "counts"}`` records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -34,6 +35,8 @@ from .witness import (
     ElementEstimate,
     fidelity_from_arrays,
     fidelity_from_elements,
+    offdiag_from_correlators,
+    offdiag_from_pair_correlators,
     subspace_fidelity,
 )
 
@@ -124,25 +127,12 @@ class ExperimentPlan:
     settings: tuple[MeasurementSetting, ...]
 
     def __post_init__(self):
-        if self.rate <= 0 or self.integration_time <= 0:
-            raise ValueError("rate and integration time must be positive")
+        if not (0 < self.rate < math.inf and 0 < self.integration_time < math.inf):
+            raise ValueError("rate and integration time must be positive and finite")
 
 
 def computational_setting(dims=DIMS_442) -> MeasurementSetting:
     return MeasurementSetting(Z_LABEL, tuple(("Z",) for _ in dims))
-
-
-def _party_token(op) -> str:
-    if op == ("Z",):
-        return "Z"
-    axis, a, b = op
-    return f"{axis}{a}{b}"
-
-
-def setting_label(party_ops) -> str:
-    if all(op == ("Z",) for op in party_ops):
-        return Z_LABEL
-    return "-".join(_party_token(op) for op in party_ops)
 
 
 def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
@@ -168,34 +158,21 @@ def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
 
 def setting_outcomes(setting: MeasurementSetting, dims=DIMS_442) -> tuple[str, ...]:
     """Outcome labels in canonical order (residual last for sigma settings)."""
-    if setting.label == Z_LABEL:
-        return tuple("".join(str(d) for d in digits)
-                     for digits in itertools.product(*(range(d) for d in dims)))
-    per_party = []
-    for op, d in zip(setting.party_ops, dims):
-        per_party.append(("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d)))
+    per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
+                 for op, d in zip(setting.party_ops, dims)]
     labels = tuple("".join(chars) for chars in itertools.product(*per_party))
-    return labels + ("rest",)
+    return labels if setting.label == Z_LABEL else labels + ("rest",)
 
 
-def _party_vectors(op, d: int):
-    """Projection vectors (label, ket) for one party of a sigma setting."""
+def _party_kets(op, d: int) -> np.ndarray:
+    """Measured kets of one party as rows: the basis for Z, else the +/- eigenvectors."""
     if op == ("Z",):
-        out = []
-        for k in range(d):
-            v = np.zeros(d, dtype=np.complex128)
-            v[k] = 1.0
-            out.append((str(k), v))
-        return out
+        return np.eye(d, dtype=np.complex128)
     axis, a, b = op
-    plus = np.zeros(d, dtype=np.complex128)
-    minus = np.zeros(d, dtype=np.complex128)
-    plus[a] = minus[a] = 1 / math.sqrt(2)
-    if axis == "X":
-        plus[b], minus[b] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    else:
-        plus[b], minus[b] = -1j / math.sqrt(2), 1j / math.sqrt(2)
-    return [("+", plus), ("-", minus)]
+    kets = np.zeros((2, d), dtype=np.complex128)
+    kets[:, a] = 1.0
+    kets[:, b] = (1.0, -1.0) if axis == "X" else (-1j, 1j)
+    return kets / math.sqrt(2)
 
 
 def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> dict[str, float]:
@@ -206,107 +183,68 @@ def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> dic
     for op, d in zip(setting.party_ops, dims):
         if op != ("Z",) and max(op[1], op[2]) >= d:
             raise ValueError(f"setting {setting.label!r} exceeds party dimension {d}")
-    if setting.label == Z_LABEL:
-        diag = np.clip(rho.diagonal(), 0.0, None)
-        labels = setting_outcomes(setting, dims)
-        return {lab: float(p) for lab, p in zip(labels, diag)}
-    vector_sets = [_party_vectors(op, d) for op, d in zip(setting.party_ops, dims)]
-    probs = {}
-    total = 0.0
-    for combo in itertools.product(*vector_sets):
-        label = "".join(lab for lab, _ in combo)
-        vec = combo[0][1]
-        for _, v in combo[1:]:
-            vec = np.kron(vec, v)
-        p = max(0.0, float(np.vdot(vec, rho.matrix @ vec).real))
-        probs[label] = p
-        total += p
-    probs["rest"] = max(0.0, 1.0 - total)
-    return probs
+    kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in zip(setting.party_ops, dims)])
+    probs = np.einsum("nj,jk,nk->n", kets.conj(), rho.matrix, kets).real.clip(0.0).tolist()
+    labels = setting_outcomes(setting, dims)
+    if labels[-1] == "rest":
+        probs.append(max(0.0, 1.0 - sum(probs)))
+    return dict(zip(labels, probs))
 
 
 # ---------------------------------------------------------------------------
 # Element -> settings routing.
 # ---------------------------------------------------------------------------
 
-# Signed operator sums on the two-level subspaces:
-#   xxx - yyx - yxy - xyy = 4(|ijk><lmn| + h.c.)  -> divisor 8 on expectations
-#   xx - yy (third party projected on its digit) = 2(...)  -> divisor 4
-# sigma_y(b, a) = -sigma_y(a, b), so a descending digit pair flips the sign
-# of every term that measures sigma_y on that party.
-_TRIPLE_AXES = (("X", "X", "X"), ("Y", "Y", "X"), ("Y", "X", "Y"), ("X", "Y", "Y"))
-_TRIPLE_SIGNS = (1.0, -1.0, -1.0, -1.0)
+# Correlator axes in the argument order of the witness coherence formulas:
+# offdiag_from_correlators when all three parties differ,
+# offdiag_from_pair_correlators when one party agrees and is measured in Z.
+_CORRELATOR_AXES = {3: ("XXX", "YYX", "YXY", "XYY"), 2: ("XX", "YY")}
+
+
+def _outcome_values(tokens, digits, dims=DIMS_442) -> np.ndarray:
+    """Eigenvalue products per outcome; Z parties pinned to ``digits``, residual 0."""
+    factors = [np.eye(d)[int(k)] if token == "Z" else np.array([1.0, -1.0])
+               for token, k, d in zip(tokens, digits, dims)]
+    return np.append(functools.reduce(np.kron, factors), 0.0)
 
 
 def element_plan(bra: str, ket: str) -> tuple:
-    """Settings and signed weights that assemble Re[<bra|rho|ket>].
+    """Settings whose expectations give Re[<bra|rho|ket>] through ``witness``.
 
-    Returns entries ``(setting_label, coefficient, digit_selector)`` where
-    the selector pins the computationally measured parties to the element's
-    digits (None when all parties carry sigma operators).
+    Returns entries ``(setting_label, sign, outcome_values)`` in the
+    argument order of the witness formula; ``sign`` times the setting's
+    expectation is the argument.  sigma_y(b, a) = -sigma_y(a, b), so a
+    descending digit pair flips the sign of a term measuring sigma_y on it.
     """
-    pairs = [(int(bra[p]), int(ket[p])) for p in range(len(bra))]
-    diff = [p for p, (i, l) in enumerate(pairs) if i != l]
-    if len(diff) == len(pairs):
-        out = []
-        for axes, sign in zip(_TRIPLE_AXES, _TRIPLE_SIGNS):
-            tokens, flip = [], 1.0
-            for axis, (i, l) in zip(axes, pairs):
-                if axis == "Y" and i > l:
-                    flip = -flip
-                tokens.append(f"{axis}{min(i, l)}{max(i, l)}")
-            out.append(("-".join(tokens), sign * flip / 8.0, None))
-        return tuple(out)
-    if len(diff) == len(pairs) - 1:
-        fixed = next(p for p in range(len(pairs)) if p not in diff)
-        selector = ((fixed, pairs[fixed][0]),)
-        out = []
-        for axis, sign in zip(("X", "Y"), (1.0, -1.0)):
-            tokens, flip = [], 1.0
-            for p, (i, l) in enumerate(pairs):
-                if p == fixed:
-                    tokens.append("Z")
-                    continue
-                if axis == "Y" and i > l:
-                    flip = -flip
-                tokens.append(f"{axis}{min(i, l)}{max(i, l)}")
-            out.append(("-".join(tokens), sign * flip / 4.0, selector))
-        return tuple(out)
-    raise ValueError(f"element ({bra}, {ket}) differs on fewer than two parties")
+    pairs = [(int(i), int(l)) for i, l in zip(bra, ket)]
+    differing = sum(i != l for i, l in pairs)
+    if differing < len(pairs) - 1:
+        raise ValueError(f"element ({bra}, {ket}) differs on fewer than two parties")
+    out = []
+    for axes in _CORRELATOR_AXES[differing]:
+        axes, tokens, sign = iter(axes), [], 1.0
+        for i, l in pairs:
+            if i == l:
+                tokens.append("Z")
+                continue
+            axis = next(axes)
+            if axis == "Y" and i > l:
+                sign = -sign
+            tokens.append(f"{axis}{min(i, l)}{max(i, l)}")
+        out.append(("-".join(tokens), sign, _outcome_values(tokens, bra)))
+    return tuple(out)
 
 
 ELEMENT_PLANS = {pair: element_plan(*pair) for pair in OFFDIAG_PAIRS}
 
-
-def _outcome_values(setting: MeasurementSetting, selector, dims=DIMS_442) -> np.ndarray:
-    """Eigenvalue products per outcome (0 for residual / unselected digits)."""
-    labels = setting_outcomes(setting, dims)
-    required = dict(selector) if selector else {}
-    values = np.zeros(len(labels))
-    for n, label in enumerate(labels):
-        if label == "rest":
-            continue
-        val = 1.0
-        for p, (char, op) in enumerate(zip(label, setting.party_ops)):
-            if op == ("Z",):
-                if p in required and required[p] != int(char):
-                    val = 0.0
-                    break
-            else:
-                val *= 1.0 if char == "+" else -1.0
-        values[n] = val
-    return values
+# The computational setting plus the 20 correlators, parsed once.
+_STANDARD_SETTINGS = tuple(parse_setting_label(label) for label in dict.fromkeys(
+    [Z_LABEL] + [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]))
 
 
 def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> ExperimentPlan:
     """The full witness plan: computational setting plus 20 correlators."""
-    labels = [Z_LABEL]
-    for pair in OFFDIAG_PAIRS:
-        for label, _, _ in ELEMENT_PLANS[pair]:
-            if label not in labels:
-                labels.append(label)
-    settings = tuple(parse_setting_label(lab) for lab in labels)
-    return ExperimentPlan(rate, integration_time, settings)
+    return ExperimentPlan(rate, integration_time, _STANDARD_SETTINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +347,14 @@ def _diagonal_values(z_counts: np.ndarray) -> np.ndarray:
 
 
 def _element_value(arrays, pair) -> np.ndarray:
-    value = 0.0
-    for label, coeff, selector in ELEMENT_PLANS[pair]:
+    """One coherence from the witness formula on signed expectations."""
+    expectations = []
+    for label, sign, values in ELEMENT_PLANS[pair]:
         counts = arrays[label]
-        weights = _outcome_values(parse_setting_label(label), selector)
         total = counts.sum(axis=-1)
-        safe = np.where(total > 0, total, 1.0)
-        value = value + coeff * (counts @ weights) / safe
-    return value
+        expectations.append(sign * (counts @ values) / np.where(total > 0, total, 1.0))
+    formula = offdiag_from_correlators if len(expectations) == 4 else offdiag_from_pair_correlators
+    return formula(*expectations)
 
 
 def _element_arrays(arrays) -> tuple[np.ndarray, np.ndarray]:
@@ -427,7 +365,7 @@ def _element_arrays(arrays) -> tuple[np.ndarray, np.ndarray]:
 
 def required_settings() -> tuple[str, ...]:
     """Labels every witness estimation needs."""
-    return tuple(s.label for s in standard_plan().settings)
+    return tuple(s.label for s in _STANDARD_SETTINGS)
 
 
 def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:

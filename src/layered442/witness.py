@@ -214,29 +214,31 @@ def fidelity_from_arrays(diagonals, offdiagonals):
     return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
-def _check_expectation(name: str, value: float):
-    if not -1.0 - 1e-9 <= value <= 1.0 + 1e-9:
-        raise ValueError(f"expectation {name} = {value} outside [-1, 1]")
+def _check_expectation(name: str, value):
+    bad = np.asarray(value)[~(np.abs(value) <= 1.0 + 1e-9)]  # NaN fails the comparison
+    if bad.size:
+        raise ValueError(f"expectation {name} = {bad[0]} outside [-1, 1]")
 
 
-def offdiag_from_correlators(exp_xxx: float, exp_yyx: float, exp_yxy: float, exp_xyy: float) -> float:
+def offdiag_from_correlators(exp_xxx, exp_yyx, exp_yxy, exp_xyy):
     """Real part of a three-party coherence from four sigma correlators.
 
     The signed operator sum sigma_xxx - sigma_yyx - sigma_yxy - sigma_xyy
     on the two-level subspaces equals 4(|ijk><lmn| + |lmn><ijk|), so with
     expectation values taken over the full outcome distribution the real
-    part carries a factor 1/8.
+    part carries a factor 1/8.  Array arguments broadcast, e.g. over a
+    leading trial axis.
     """
     for name, val in (("xxx", exp_xxx), ("yyx", exp_yyx), ("yxy", exp_yxy), ("xyy", exp_xyy)):
         _check_expectation(name, val)
     return (exp_xxx - exp_yyx - exp_yxy - exp_xyy) / 8.0
 
 
-def offdiag_from_pair_correlators(exp_xx: float, exp_yy: float) -> float:
+def offdiag_from_pair_correlators(exp_xx, exp_yy):
     """Real part of a two-party coherence (third party diagonal).
 
     Here sigma_xx - sigma_yy = 2(|ij><lm| + |lm><ij|) on the relevant
-    subspace, giving a factor 1/4.
+    subspace, giving a factor 1/4.  Array arguments broadcast.
     """
     _check_expectation("xx", exp_xx)
     _check_expectation("yy", exp_yy)

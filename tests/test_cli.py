@@ -302,6 +302,32 @@ class TestConfig:
         code = main(["--config", str(cfg), "--out", str(tmp_path / "o"), "gen-state"])
         assert code == 2
 
+    @pytest.mark.parametrize("config, flags, key", [
+        ({"seed": "abc"}, [], "seed must be an integer, got 'abc'"),
+        ({"seed": 1.5}, [], "seed must be an integer, got 1.5"),
+        ({"seed": True}, [], "seed must be an integer, got True"),
+        ({"monte_carlo_trials": 2.5}, [], "monte_carlo_trials must be an integer"),
+        ({"visibility": "0.8"}, [], "visibility must be a finite number, got '0.8'"),
+        ({"rate": 10**400}, [], "rate must be a finite number, got 1000"),
+        ({"out_dir": 5}, [], "out_dir must be a string"),
+        ({"no_timestamp": "yes"}, [], "no_timestamp must be true or false"),
+        ([1, 2], [], "config file must be a JSON object, got list"),
+        (None, ["--rate", "nan"], "rate must be a finite number, got nan"),
+        (None, ["--rate", "inf"], "rate must be a finite number, got inf"),
+        (None, ["--time", "nan"], "integration_time must be a finite number, got nan"),
+        (None, ["--time", "inf"], "integration_time must be a finite number, got inf"),
+    ], ids=["seed-string", "seed-float", "seed-bool", "trials-float", "visibility-string",
+            "rate-huge-int", "out-dir-int", "no-timestamp-string", "array", "rate-nan", "rate-inf", "time-nan",
+            "time-inf"])
+    def test_malformed_config_rejected(self, tmp_path, monkeypatch, capsys, config, flags, key):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            flags = ["--config", "c.json", *flags]
+        assert main([*flags, "witness"]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_visibility(self, tmp_path):
         code = main(["--visibility", "1.5", "--out", str(tmp_path / "o"), "gen-state"])
         assert code == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442, noisy_psi442
 from layered442.hilbert import DensityOperator, fidelity_pure
@@ -105,6 +107,48 @@ class TestBornProbabilities:
         rho = random_density((2, 2), rng)
         with pytest.raises(ValueError):
             born_probabilities(rho, parse_setting_label("X01-X01-X01"))
+
+
+def oracle_ket(setting, outcome, dims=(4, 4, 2)) -> np.ndarray:
+    """The measured ket of one outcome, one np.kron factor per party."""
+    vec = np.ones(1, dtype=complex)
+    for op, char, d in zip(setting.party_ops, outcome, dims):
+        if op == ("Z",):
+            ket = np.eye(d)[int(char)].astype(complex)
+        else:
+            axis, a, b = op
+            ket = np.zeros(d, dtype=complex)
+            ket[a] = 1.0
+            ket[b] = (1.0 if axis == "X" else -1j) * (1.0 if char == "+" else -1.0)
+            ket /= math.sqrt(2)
+        vec = np.kron(vec, ket)
+    return vec
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_born_probabilities_match_dense_oracle(seed):
+    rho = random_density((4, 4, 2), np.random.default_rng(seed))
+    for setting in standard_plan().settings:
+        probs = born_probabilities(rho, setting)
+        assert list(probs) == list(setting_outcomes(setting))
+        expected = {o: np.vdot(oracle_ket(setting, o), rho.matrix @ oracle_ket(setting, o)).real
+                    for o in probs if o != "rest"}
+        if "rest" in probs:
+            expected["rest"] = 1.0 - sum(expected.values())
+        for outcome, p in probs.items():
+            assert abs(p - expected[outcome]) < 1e-12, (setting.label, outcome)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_estimated_elements_stay_in_range(seed):
+    rho = random_density((4, 4, 2), np.random.default_rng(seed))
+    diag, off = estimate_elements(exact_records(rho, standard_plan()))
+    value = {e.bra: e.value for e in diag}
+    assert all(0.0 <= v <= 1.0 for v in value.values())
+    for e in off:
+        assert abs(e.value) <= math.sqrt(value[e.bra] * value[e.ket]) + 1e-12
 
 
 class TestSimulateCounts:

@@ -251,6 +251,17 @@ class TestCorrelators:
             offdiag_from_correlators(1.5, 0, 0, 0)
         with pytest.raises(ValueError):
             offdiag_from_pair_correlators(0.0, -2.0)
+        with pytest.raises(ValueError, match="xxx = nan"):
+            offdiag_from_correlators(float("nan"), 0, 0, 0)
+        with pytest.raises(ValueError, match="yy = nan"):
+            offdiag_from_pair_correlators(0.0, float("nan"))
+        trials = np.array([0.5, -0.25, 1.0, -1.0])
+        assert np.array_equal(offdiag_from_correlators(trials, 0, 0, 0), trials / 8)
+        for bad in (1.5, -1.5, np.nan):
+            with pytest.raises(ValueError, match=f"xyy = {bad}"):
+                offdiag_from_correlators(0, 0, 0, np.append(trials, bad))
+            with pytest.raises(ValueError, match=f"xx = {bad}"):
+                offdiag_from_pair_correlators(np.insert(trials, 2, bad), trials)
 
 
 class TestSubspaceFidelity:
