@@ -86,21 +86,6 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def index_of(self, digits) -> int:
-        """Flat index of a basis ket given per-party digits."""
-        digits = tuple(int(d) for d in digits)
-        if len(digits) != self.num_parties:
-            raise ValueError("digit count does not match party count")
-        idx = 0
-        for d, dim in zip(digits, self.dims):
-            if not 0 <= d < dim:
-                raise ValueError(f"digit {d} out of range for dimension {dim}")
-            idx = idx * dim + d
-        return idx
-
-    def amplitude(self, digits) -> complex:
-        return complex(self.amplitudes[self.index_of(digits)])
-
     def density(self) -> "DensityOperator":
         """Projector |psi><psi| as a density operator."""
         return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -138,9 +123,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
 
 
 @dataclass(frozen=True)

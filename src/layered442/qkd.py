@@ -18,13 +18,14 @@ pairings (the single pair itself for two-party layers).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import DensityOperator
-from .tomography import born_probabilities, parse_setting_label
+from .tomography import DIMS_442, born_probabilities, parse_setting_label, setting_outcomes
 
 __all__ = [
     "LayerSpec",
@@ -173,72 +174,54 @@ def _binomial_std(q: float, n: int) -> float:
     return math.sqrt(max(q * (1.0 - q), 0.0) / n)
 
 
-def _bin_rows(rows: np.ndarray, dims) -> list[tuple[tuple[int, ...], int]]:
-    """Each distinct row of a non-negative digit array with its count."""
-    bins = np.bincount(np.ravel_multi_index(rows.T, dims), minlength=math.prod(dims))
-    occupied = np.flatnonzero(bins)
-    digits = np.column_stack(np.unravel_index(occupied, dims))
-    return list(zip(map(tuple, digits.tolist()), bins[occupied].tolist()))
+@functools.cache
+def _layer_weights(layer: LayerSpec) -> tuple:
+    """Read-only 0/1 weight rows that pick a layer's sifted and erroneous outcomes.
 
-
-def _x_outcome_signs(label: str, layer: LayerSpec) -> tuple[int, ...]:
-    """Participant signs of an X-setting outcome label; all 0 for a lost round (``rest``)."""
-    chars = [label[party] for party in layer.party_indices]
-    if any(char not in "+-" for char in chars):
-        return (0,) * len(chars)
-    return tuple(1 if char == "+" else -1 for char in chars)
+    Returns ``(pair_keys, z_weights, x_weights)``.  ``z_weights`` rows are
+    sifted, error, then one pairwise error per key of ``pair_keys`` ("ab",
+    "ac", "bc"; none for two-party layers), over the 32 computational
+    outcomes in ``ALL_KETS`` order.  ``x_weights`` rows are sifted and
+    error over the layer's X-setting outcomes, residual last.  A Z outcome
+    is sifted when each participant's digit lies in its layer pair, an
+    error when their key bits differ; an X outcome is an error when an odd
+    number of participants read ``-``.
+    """
+    digits = np.column_stack(np.unravel_index(np.arange(math.prod(DIMS_442)), DIMS_442))
+    digits = digits[:, layer.party_indices]
+    k0, k1 = np.array(layer.digit_pairs).T
+    sifted = ((digits == k0) | (digits == k1)).all(axis=1)
+    bits = digits == k1
+    pairs = ((0, 1), (0, 2), (1, 2)) if layer.is_tripartite else ()
+    pair_keys = tuple((layer.participants[i] + layer.participants[j]).lower() for i, j in pairs)
+    z_rows = [sifted, (bits != bits[:, :1]).any(axis=1)]
+    z_rows += [bits[:, i] != bits[:, j] for i, j in pairs]
+    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label))
+    x_rows = [[o != "rest" for o in x_outcomes],
+              [o != "rest" and sum(o[p] == "-" for p in layer.party_indices) % 2 == 1
+               for o in x_outcomes]]
+    z_weights = (np.array(z_rows) & sifted).astype(float)
+    x_weights = np.array(x_rows, dtype=float)
+    z_weights.flags.writeable = x_weights.flags.writeable = False
+    return pair_keys, z_weights, x_weights
 
 
 def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
-    """Sift, map to key bits and count errors.
-
-    ``z_counts`` pairs per-party outcome digits with counts; ``x_counts``
-    pairs participant sigma_x signs (0 for a lost round) with counts.
-    All pairwise Z error rates are reported for tripartite layers.
-    """
-    pairs = layer.digit_pairs
-    cols = layer.party_indices
-    total_z = err_z = 0.0
-    combos = tuple((i, j) for i in range(len(cols)) for j in range(i + 1, len(cols)))
-    pair_err = {c: 0.0 for c in combos}
-    grand_z = 0.0
-    for ket, c in z_counts:
-        grand_z += c
-        digits = [ket[p] for p in cols]
-        if any(d not in pairs[k] for k, d in enumerate(digits)):
-            continue
-        bits = [pairs[k].index(d) for k, d in enumerate(digits)]
-        total_z += c
-        if any(b != bits[0] for b in bits):
-            err_z += c
-        if layer.is_tripartite:
-            for i, j in combos:
-                if bits[i] != bits[j]:
-                    pair_err[(i, j)] += c
+    """Error rates from Z and X counts in canonical outcome order, through the layer weights."""
+    pair_keys, z_weights, x_weights = _layer_weights(layer)
+    total_z, err_z, *pair_errs = (z_weights @ z_counts).tolist()
     if total_z <= 0:
         raise ValueError(f"no Z counts in layer {layer.layer_id}")
-    qber_z = err_z / total_z
-
-    total_x = err_x = 0.0
-    grand_x = 0.0
-    for signs, c in x_counts:
-        grand_x += c
-        if 0 in signs:
-            continue
-        total_x += c
-        if math.prod(signs) != 1:
-            err_x += c
+    total_x, err_x = (x_weights @ x_counts).tolist()
     if total_x <= 0:
         raise ValueError(f"no X counts in layer {layer.layer_id}")
+    qber_z = err_z / total_z
     qber_x = err_x / total_x
-
     extra = {}
-    if layer.is_tripartite:
-        for (i, j), err in pair_err.items():
-            q = err / total_z
-            key = (layer.participants[i] + layer.participants[j]).lower()
-            extra[f"qber_z_{key}"] = q
-            extra[f"qber_z_{key}_std"] = _binomial_std(q, int(total_z))
+    for key, err in zip(pair_keys, pair_errs):
+        q = err / total_z
+        extra[f"qber_z_{key}"] = q
+        extra[f"qber_z_{key}_std"] = _binomial_std(q, int(total_z))
 
     return QberReport(
         layer_id=layer.layer_id,
@@ -248,46 +231,51 @@ def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
         qber_x_std=_binomial_std(qber_x, int(total_x)),
         n_z_sifted=int(total_z),
         n_x_sifted=int(total_x),
-        sift_fraction_z=total_z / grand_z,
-        sift_fraction_x=total_x / grand_x,
+        sift_fraction_z=total_z / float(z_counts.sum()),
+        sift_fraction_x=total_x / float(x_counts.sum()),
         **extra,
     )
 
 
 def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
-    """Error rates from per-round outcome tuples.
+    """Error rates from per-round outcomes.
 
-    ``samples["Z"]`` holds (n, 3) outcome digits; ``samples["X"]`` holds
-    per-round sigma_x signs (+1/-1) for the layer's participants, with 0
-    marking rounds lost outside the subspace.  The rounds are binned into
-    counts and handed to the same sifting and error counting as
+    ``samples["Z"]`` holds (n, 3) computational outcome digits and
+    ``samples["X"]`` the outcome indices of the layer's X setting, as
+    :func:`sample_z_rounds` and :func:`sample_x_rounds` draw them.  The
+    rounds are binned into counts and go through the same layer weights as
     :func:`qbers_from_counts`.
     """
     z = np.asarray(samples["Z"], dtype=int)
     x = np.asarray(samples["X"], dtype=int)
     if z.size == 0 or x.size == 0:
         raise ValueError("empty sample set")
-    z_counts = _bin_rows(z, tuple(z.max(axis=0) + 1))
-    x_counts = [(tuple(d - 1 for d in row), c)
-                for row, c in _bin_rows(x + 1, (3,) * x.shape[1])]
-    return _count_qbers(z_counts, x_counts, layer)
+    if z.ndim != 2 or z.shape[1] != len(DIMS_442):
+        raise ValueError(f"Z rounds must be an (n, {len(DIMS_442)}) digit array, got {z.shape}")
+    for party, column, d in zip(PARTY_NAMES, z.T, DIMS_442):
+        if column.min() < 0 or column.max() >= d:
+            raise ValueError(f"Z digit of party {party} outside [0, {d})")
+    n_x = _layer_weights(layer)[2].shape[1]
+    if x.ndim != 1 or x.min() < 0 or x.max() >= n_x:
+        raise ValueError(f"X rounds must be outcome indices in [0, {n_x}) "
+                         f"of setting {layer.x_setting_label}")
+    z_counts = np.bincount(np.ravel_multi_index(z.T, DIMS_442), minlength=math.prod(DIMS_442))
+    return _count_qbers(z_counts, np.bincount(x, minlength=n_x), layer)
 
 
 def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
     """Error rates from aggregated counts (computational + X settings).
 
-    ``count_tables`` maps setting labels to outcome->counts dicts; it must
-    contain "Z" and the layer's X setting.
+    ``count_tables`` maps setting labels to counts in canonical outcome
+    order, as :func:`layered442.tomography.count_tables` returns them; it
+    must contain "Z" and the layer's X setting.
     """
     if "Z" not in count_tables:
         raise ValueError("missing computational setting 'Z' in counts")
     x_label = layer.x_setting_label
     if x_label not in count_tables:
         raise ValueError(f"missing setting {x_label!r} for layer {layer.layer_id}")
-    z_counts = [(tuple(int(d) for d in ket), c) for ket, c in count_tables["Z"].items()]
-    x_counts = [(_x_outcome_signs(outcome, layer), c)
-                for outcome, c in count_tables[x_label].items()]
-    return _count_qbers(z_counts, x_counts, layer)
+    return _count_qbers(count_tables["Z"], count_tables[x_label], layer)
 
 
 def asymptotic_key_rate(report: QberReport, reference: str = "A") -> LayerKeyReport:
@@ -323,29 +311,22 @@ def asymptotic_key_rate(report: QberReport, reference: str = "A") -> LayerKeyRep
 # ---------------------------------------------------------------------------
 
 
+def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: int) -> np.ndarray:
+    """n outcome indices of a setting, Born-rule draws from the stream (seed, stream)."""
+    p = np.array(list(born_probabilities(rho, parse_setting_label(label)).values()))
+    rng = np.random.default_rng([int(seed), stream])
+    return rng.choice(p.size, size=n, p=p / p.sum())
+
+
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:
     """Sample (n, 3) computational outcome digits from the state."""
-    probs = np.clip(rho.diagonal(), 0.0, None)
-    probs /= probs.sum()
-    rng = np.random.default_rng([int(seed), _Z_STREAM])
-    flat = rng.choice(len(probs), size=n, p=probs)
-    d_b, d_c = rho.dims[1], rho.dims[2]
-    a, rem = np.divmod(flat, d_b * d_c)
-    b, c = np.divmod(rem, d_c)
-    return np.column_stack([a, b, c])
+    return np.column_stack(np.unravel_index(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), rho.dims))
 
 
 def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -> np.ndarray:
-    """Sample per-round sigma_x signs for a layer (0 marks lost rounds)."""
-    setting = parse_setting_label(layer.x_setting_label)
-    probs = born_probabilities(rho, setting)
-    labels = list(probs)
-    p = np.array([probs[lab] for lab in labels])
-    p /= p.sum()
+    """Sample n outcome indices of the layer's X setting (the residual ``rest`` last)."""
     layer_index = LAYERS.index(layer) if layer in LAYERS else 97
-    rng = np.random.default_rng([int(seed), _X_STREAM_BASE + layer_index])
-    drawn = rng.choice(len(labels), size=n, p=p)
-    return np.array([_x_outcome_signs(lab, layer) for lab in labels])[drawn]
+    return _draw_outcomes(rho, layer.x_setting_label, n, seed, _X_STREAM_BASE + layer_index)
 
 
 def empirical_mutual_information(x, y) -> float:

@@ -70,6 +70,11 @@ LOW_STATS_THRESHOLD = 50
 
 Z_LABEL = "Z"
 
+# Third key word of the Monte Carlo resampling streams, so they never replay
+# simulate_counts' (seed, index) streams; SeedSequence drops trailing zeros,
+# so the tag must be non-zero.
+_RESAMPLE_STREAM = 1
+
 
 class MissingSettingError(ValueError):
     """Required measurement settings are absent from the count records."""
@@ -135,6 +140,7 @@ def computational_setting(dims=DIMS_442) -> MeasurementSetting:
     return MeasurementSetting(Z_LABEL, tuple(("Z",) for _ in dims))
 
 
+@functools.cache
 def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
     """Parse a label such as ``Z`` or ``X01-Y01-Z`` into a setting."""
     if label == Z_LABEL:
@@ -156,6 +162,7 @@ def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
     return MeasurementSetting(label, tuple(ops))
 
 
+@functools.cache
 def setting_outcomes(setting: MeasurementSetting, dims=DIMS_442) -> tuple[str, ...]:
     """Outcome labels in canonical order (residual last for sigma settings)."""
     per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
@@ -311,32 +318,22 @@ def records_from_json(path) -> list[CountRecord]:
 # ---------------------------------------------------------------------------
 
 
-def count_tables(records) -> dict[str, dict[str, float]]:
-    """Counts as nested {setting: {outcome: counts}} dictionaries."""
-    out = {}
-    for label, counts in _count_arrays(records).items():
-        order = setting_outcomes(parse_setting_label(label))
-        out[label] = dict(zip(order, counts))
-    return out
-
-
-def _count_arrays(records) -> dict[str, np.ndarray]:
-    """Counts per setting, aligned with the canonical outcome order."""
+def count_tables(records) -> dict[str, np.ndarray]:
+    """Counts per setting label, in the setting's canonical outcome order."""
     by_setting: dict[str, dict[str, float]] = {}
     for r in records:
         table = by_setting.setdefault(r.setting, {})
         if r.outcome in table:
             raise ValueError(f"duplicate record for setting {r.setting!r} outcome {r.outcome!r}")
         table[r.outcome] = float(r.counts)
-    arrays = {}
+    tables = {}
     for label, table in by_setting.items():
-        setting = parse_setting_label(label)
-        order = setting_outcomes(setting)
+        order = setting_outcomes(parse_setting_label(label))
         unknown = set(table) - set(order)
         if unknown:
             raise ValueError(f"unknown outcomes {sorted(unknown)} for setting {label!r}")
-        arrays[label] = np.array([table.get(o, 0.0) for o in order])
-    return arrays
+        tables[label] = np.array([table.get(o, 0.0) for o in order])
+    return tables
 
 
 def _diagonal_values(z_counts: np.ndarray) -> np.ndarray:
@@ -376,7 +373,7 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
     their signed weights.  Standard deviations are left at zero; use
     :func:`monte_carlo_errors` for error bars.
     """
-    arrays = _count_arrays(records)
+    arrays = count_tables(records)
     missing = [label for label in required_settings() if label not in arrays]
     if missing:
         raise MissingSettingError(missing)
@@ -422,18 +419,19 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     elements, the target fidelity and the six renormalized subspace
     fidelities are recomputed per trial, and the sample standard
     deviations become the quoted errors.  Each setting's resampling
-    stream is keyed by (seed, index in :func:`standard_plan`), so the
-    result does not depend on the order of ``records``.  Fewer than 100
+    stream is keyed by (seed, index in :func:`standard_plan`, 1), so the
+    result does not depend on the order of ``records`` and never reuses
+    the draws :func:`simulate_counts` made with the same seed.  Fewer than 100
     trials is allowed but flagged degenerate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     central_diag, central_off = estimate_elements(records)
     fidelity = fidelity_from_elements(central_diag, central_off)
-    arrays = _count_arrays(records)
+    arrays = count_tables(records)
     resampled = {}
     for index, label in enumerate(required_settings()):
-        rng = np.random.default_rng([int(seed), index])
+        rng = np.random.default_rng([int(seed), index, _RESAMPLE_STREAM])
         resampled[label] = rng.poisson(arrays[label], size=(trials, arrays[label].size)).astype(float)
     diag_samples, off_samples = _element_arrays(resampled)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
@@ -455,7 +453,10 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
         if central_diag[i].value + central_diag[j].value > 0:
             central = subspace_fidelity(central_diag[i].value, central_diag[j].value, e.value)
             fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], samples)
-            spread = float(np.nanstd(fsub, ddof=1)) if trials > 1 else 0.0
+            finite = np.count_nonzero(~np.isnan(fsub))
+            # Below two finite trials the spread is undefined (nanstd would warn).
+            spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
+                      else 0.0 if trials == 1 else float("nan"))
             subspace[e.pair()] = (central, spread)
         else:
             subspace[e.pair()] = (float("nan"), float("nan"))

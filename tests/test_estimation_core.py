@@ -1,6 +1,8 @@
 """Property tests: every estimation path agrees with the one formula it calls."""
 
 import dataclasses
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -13,13 +15,21 @@ from layered442.circuit import make_psi442, noisy_psi442
 from layered442.hilbert import DensityOperator, fidelity_pure
 from layered442.qkd import (
     LAYERS,
-    PARTY_NAMES,
     compute_qbers,
     qbers_from_counts,
     sample_x_rounds,
     sample_z_rounds,
 )
-from layered442.tomography import exact_records, monte_carlo_errors, simulate_counts, standard_plan
+from layered442.tomography import (
+    CountRecord,
+    count_tables,
+    exact_records,
+    monte_carlo_errors,
+    parse_setting_label,
+    setting_outcomes,
+    simulate_counts,
+    standard_plan,
+)
 from layered442.witness import subspace_fidelity
 
 from conftest import flat_index
@@ -65,18 +75,13 @@ def test_monte_carlo_ignores_record_order(order):
 
 
 def _binned_tables(z, x, layer):
-    """Count tables, in the counts-file format, of sampled Z and X rounds."""
+    """Count tables of sampled Z digits and X outcome indices, binned through records."""
+    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label))
     z_table = Counter("".join(map(str, row)) for row in z.tolist())
-    x_table = Counter()
-    for row in x.tolist():
-        if 0 in row:
-            x_table["rest"] += 1
-            continue
-        chars = ["0"] * len(PARTY_NAMES)
-        for party, sign in zip(layer.party_indices, row):
-            chars[party] = "+" if sign > 0 else "-"
-        x_table["".join(chars)] += 1
-    return {"Z": dict(z_table), layer.x_setting_label: dict(x_table)}
+    x_table = Counter(x_outcomes[index] for index in x.tolist())
+    records = [CountRecord("Z", ket, c) for ket, c in z_table.items()]
+    records += [CountRecord(layer.x_setting_label, outcome, c) for outcome, c in x_table.items()]
+    return count_tables(records)
 
 
 @PROPERTY_SETTINGS
@@ -93,3 +98,50 @@ def test_round_qbers_equal_binned_count_qbers(rho, layer, rounds, seed):
             qbers_from_counts(tables, layer)
         return
     assert dataclasses.asdict(from_rounds) == dataclasses.asdict(qbers_from_counts(tables, layer))
+
+
+def _sifting_oracle(tables, layer):
+    """Report fields of a layer, sifted and counted outcome by outcome."""
+    total_z = err_z = 0.0
+    pair_err = Counter()
+    for ket, c in zip(setting_outcomes(parse_setting_label("Z")), tables["Z"]):
+        digits = [int(ket[p]) for p in layer.party_indices]
+        if not all(d in pair for d, pair in zip(digits, layer.digit_pairs)):
+            continue
+        bits = [pair.index(d) for d, pair in zip(digits, layer.digit_pairs)]
+        total_z += c
+        err_z += c * (len(set(bits)) > 1)
+        if layer.is_tripartite:
+            for (i, a), (j, b) in itertools.combinations(enumerate(bits), 2):
+                pair_err[(layer.participants[i] + layer.participants[j]).lower()] += c * (a != b)
+    x_label = layer.x_setting_label
+    total_x = err_x = 0.0
+    for outcome, c in zip(setting_outcomes(parse_setting_label(x_label)), tables[x_label]):
+        if outcome != "rest":
+            total_x += c
+            err_x += c * ([outcome[p] for p in layer.party_indices].count("-") % 2)
+    rates = {"qber_z": (err_z / total_z, total_z), "qber_x": (err_x / total_x, total_x)}
+    rates.update({f"qber_z_{key}": (err / total_z, total_z) for key, err in pair_err.items()})
+    fields = {"n_z_sifted": int(total_z), "n_x_sifted": int(total_x),
+              "sift_fraction_z": total_z / sum(tables["Z"]),
+              "sift_fraction_x": total_x / sum(tables[x_label])}
+    for name, (q, total) in rates.items():
+        fields[name] = q
+        fields[f"{name}_std"] = math.sqrt(q * (1 - q) / int(total))
+    return fields
+
+
+@PROPERTY_SETTINGS
+@given(rho=densities())
+def test_count_qbers_match_sifting_oracle(rho):
+    tables = count_tables(exact_records(rho, PLAN))
+    for layer in LAYERS:
+        report = dataclasses.asdict(qbers_from_counts(tables, layer))
+        del report["layer_id"]
+        expected = _sifting_oracle(tables, layer)
+        assert {k for k, v in report.items() if v is not None} == set(expected)
+        for name, value in expected.items():
+            assert abs(report[name] - value) <= 1e-12, name
+        for name in ("qber_z", "qber_x", "qber_z_ab", "qber_z_ac", "qber_z_bc",
+                     "sift_fraction_z", "sift_fraction_x"):
+            assert report[name] is None or 0.0 <= report[name] <= 1.0, name

@@ -180,7 +180,7 @@ class TestComputeQbers:
         tables = {}
         for label in ("Z", LAYERS[0].x_setting_label):
             setting = parse_setting_label(label)
-            tables[label] = born_probabilities(rho, setting)
+            tables[label] = np.array(list(born_probabilities(rho, setting).values()))
         rep = qbers_from_counts(tables, LAYERS[0])
         qz_expect = (6 * (1 - v) / 32) / (v / 2 + 8 * (1 - v) / 32)
         qx_expect = (1 - v) / (2 * (v + 1))
@@ -198,6 +198,21 @@ class TestComputeQbers:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             compute_qbers({"Z": np.empty((0, 3)), "X": np.empty((0, 3))}, LAYERS[0])
+
+    @pytest.mark.parametrize("basis, index, value, message", [
+        ("Z", np.s_[:100, 0], 7, r"party A outside \[0, 4\)"),
+        ("Z", np.s_[:100, 1], -1, r"party B outside \[0, 4\)"),
+        ("Z", np.s_[:100, 2], 2, r"party C outside \[0, 2\)"),
+        ("X", np.s_[:100], 9, r"\[0, 9\) of setting X01-X01-X01"),
+        ("X", np.s_[:100], -1, r"\[0, 9\) of setting X01-X01-X01"),
+    ])
+    def test_malformed_rounds_rejected(self, basis, index, value, message):
+        rho = noisy_psi442(V_EXP)
+        samples = {"Z": sample_z_rounds(rho, 1000, seed=4),
+                   "X": sample_x_rounds(rho, LAYERS[0], 1000, seed=4)}
+        samples[basis][index] = value
+        with pytest.raises(ValueError, match=message):
+            compute_qbers(samples, LAYERS[0])
 
     def test_sift_fractions_near_half(self):
         rho = make_psi442().density()

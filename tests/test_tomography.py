@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442, noisy_psi442
-from layered442.hilbert import DensityOperator, fidelity_pure
+from layered442.hilbert import DensityOperator, fidelity_pure, haar_random_state
 from layered442.tomography import (
     ELEMENT_PLANS,
     MissingSettingError,
@@ -330,6 +330,25 @@ class TestMonteCarlo:
         result = monte_carlo_errors(recs, trials=200, seed=3)
         for pair, (value, std) in result.subspace_fidelities.items():
             assert value == pytest.approx(1.0, abs=5e-2)
+
+    @pytest.mark.parametrize("seed", [1234, 7, 99])
+    def test_resampling_does_not_replay_simulation(self, seed):
+        # Poisson(exact counts) on the simulation's own stream would redraw
+        # the simulated counts, so one trial would reproduce its fidelity.
+        rho = noisy_psi442(0.8493)
+        plan = standard_plan()
+        simulated = fidelity_from_elements(*estimate_elements(simulate_counts(rho, plan, seed)))
+        resampled = monte_carlo_errors(exact_records(rho, plan), trials=1, seed=seed)
+        assert resampled.fidelity_mean != simulated
+
+    def test_sparse_subspace_spread_is_nan(self):
+        # Few signal counts: some trials resample both populations of a pair
+        # to zero, leaving fewer than two finite subspace fidelities.
+        rho = haar_random_state((4, 4, 2), np.random.default_rng(0)).density()
+        result = monte_carlo_errors(exact_records(rho, standard_plan()), trials=2, seed=3)
+        spreads = [spread for _, spread in result.subspace_fidelities.values()]
+        assert any(math.isnan(s) for s in spreads)
+        assert all(math.isnan(s) or s >= 0 for s in spreads)
 
     def test_trials_validation(self):
         recs = simulate_counts(noisy_psi442(0.8493), standard_plan(), seed=1)
