@@ -376,6 +376,8 @@ def cmd_fmax(cfg: RunConfig, ranks, restarts: int) -> int:
             "max_overlap": float(overlaps.max()),
             "min_overlap": float(overlaps.min()),
             "within_bound": bool(overlaps.max() <= bound + 1e-6),
+            "restarts_at_bound": int(np.sum(np.abs(overlaps - bound) <= 1e-9)),
+            "bound_gap": bound - float(overlaps.max()),
         }
         if not payload["search"]["within_bound"]:
             print("error: stochastic search exceeded the analytic bound", file=sys.stderr)

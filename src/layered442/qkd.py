@@ -196,7 +196,7 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     pair_keys = tuple((layer.participants[i] + layer.participants[j]).lower() for i, j in pairs)
     z_rows = [sifted, (bits != bits[:, :1]).any(axis=1)]
     z_rows += [bits[:, i] != bits[:, j] for i, j in pairs]
-    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label))
+    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label), DIMS_442)
     x_rows = [[o != "rest" for o in x_outcomes],
               [o != "rest" and sum(o[p] == "-" for p in layer.party_indices) % 2 == 1
                for o in x_outcomes]]
@@ -209,6 +209,11 @@ def _layer_weights(layer: LayerSpec) -> tuple:
 def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
     """Error rates from Z and X counts in canonical outcome order, through the layer weights."""
     pair_keys, z_weights, x_weights = _layer_weights(layer)
+    for label, counts, weights in (("Z", z_counts, z_weights),
+                                   (layer.x_setting_label, x_counts, x_weights)):
+        if np.shape(counts) != weights.shape[1:]:
+            raise ValueError(f"setting {label!r} needs {weights.shape[1]} counts in canonical "
+                             f"outcome order, got shape {np.shape(counts)}")
     total_z, err_z, *pair_errs = (z_weights @ z_counts).tolist()
     if total_z <= 0:
         raise ValueError(f"no Z counts in layer {layer.layer_id}")

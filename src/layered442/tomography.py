@@ -164,7 +164,11 @@ def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
 
 @functools.cache
 def setting_outcomes(setting: MeasurementSetting, dims=DIMS_442) -> tuple[str, ...]:
-    """Outcome labels in canonical order (residual last for sigma settings)."""
+    """Outcome labels in canonical order (residual last for sigma settings).
+
+    Callers pass ``dims`` positionally: the cache keys ``f(s)`` and
+    ``f(s, dims)`` apart, which would build every order twice.
+    """
     per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
                  for op, d in zip(setting.party_ops, dims)]
     labels = tuple("".join(chars) for chars in itertools.product(*per_party))
@@ -328,7 +332,7 @@ def count_tables(records) -> dict[str, np.ndarray]:
         table[r.outcome] = float(r.counts)
     tables = {}
     for label, table in by_setting.items():
-        order = setting_outcomes(parse_setting_label(label))
+        order = setting_outcomes(parse_setting_label(label), DIMS_442)
         unknown = set(table) - set(order)
         if unknown:
             raise ValueError(f"unknown outcomes {sorted(unknown)} for setting {label!r}")

@@ -14,12 +14,12 @@ into two-level sigma_x / sigma_y correlators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import SIGNAL_KETS
-from .hilbert import PureState, haar_random_state, schmidt_decompose, schmidt_reconstruct
+from .hilbert import PureState, haar_random_state, schmidt_decompose
 
 __all__ = [
     "ALL_KETS",
@@ -60,8 +60,8 @@ GME_BOUND = 0.5
 # Tolerance for renormalizing a diagonal set whose sum drifted from 1.
 DIAG_SUM_TOL = 0.02
 
-#: Random local-unitary steps per restart of :func:`search_class_overlap`.
-CLIMB_STEPS = 10
+#: Sweeps over the constrained parties per :func:`search_class_overlap` call.
+SEESAW_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -295,87 +295,64 @@ def certify_dimensionality(f_exp: float, std: float, bound: float = FMAX_BOUND) 
 # ---------------------------------------------------------------------------
 
 
-def _truncate_to_rank(psi: PureState, party: int, cap: int) -> PureState:
-    data = schmidt_decompose(psi, (party,))
-    if int(np.sum(data.coefficients > 1e-12)) <= cap:
-        return psi
-    coeff = data.coefficients.copy()
-    coeff[cap:] = 0.0
-    coeff /= np.linalg.norm(coeff)
-    return schmidt_reconstruct(replace(data, coefficients=coeff))
+def _project(tensor: np.ndarray, isometries) -> np.ndarray:
+    """Apply V^dagger to party p for every ``(p, V)``, V of shape (restarts, d_p, cap).
 
-
-def _overlap(target: PureState, amplitudes: np.ndarray) -> float:
-    return float(abs(np.vdot(target.amplitudes, amplitudes)) ** 2)
-
-
-def _random_local_unitaries(dims, eps: float, rng: np.random.Generator):
-    ops = []
-    for d in dims:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        herm = (g + g.conj().T) / 2
-        w, v = np.linalg.eigh(herm)
-        ops.append((v * np.exp(1j * eps * w)) @ v.conj().T)
-    return ops
-
-
-def _apply_locals(tensor: np.ndarray, ops) -> np.ndarray:
-    """Apply ``(party, operator)`` pairs, square or not, to an amplitude tensor."""
-    for p, op in ops:
-        tensor = np.moveaxis(np.tensordot(op, tensor, axes=([1], [p])), 0, p)
+    The leading axis of ``tensor`` is the restart axis (length 1 broadcasts).
+    """
+    axes = list(range(tensor.ndim - 1))
+    for p, v in isometries:
+        out = axes[:p] + [len(axes)] + axes[p + 1:]
+        tensor = np.einsum(tensor, [..., *axes], v.conj(), [..., p, len(axes)], [..., *out])
     return tensor
 
 
-def _subspace_refine(target: PureState, phi: PureState, constrained) -> float:
-    """Best overlap of a class state supported on phi's current local spans.
+def _sweep(target: PureState, isometries):
+    """One see-saw sweep: each ``(p, V)`` in turn becomes the best isometry for p.
 
-    For fixed ``cap``-dimensional subspaces S_p on the constrained parties
-    the optimal state is the normalized projection of the target, with
-    overlap ||(P_S0 x P_S1 x ...)|target>||^2.
+    With the other isometries fixed, the best cap-dimensional subspace of
+    party p is spanned by the top-cap eigenvectors of p's reduced operator
+    of the projected target.  Returns the new isometries and the overlaps
+    ||(P_S0 x P_S1 x ...)|target>||^2 they attain; no update lowers them.
     """
-    isometries = [(p, schmidt_decompose(phi, (p,)).left_vectors[:, :cap].conj().T)
-                  for p, cap in constrained]
-    projected = _apply_locals(target.amplitudes.reshape(target.dims), isometries)
-    return float(np.linalg.norm(projected) ** 2)
-
-
-def _restart_best(target: PureState, member, rng: np.random.Generator) -> float:
-    constrained = [(p, cap) for p, cap in enumerate(member) if cap < target.dims[p]]
-    phi = haar_random_state(target.dims, rng)
-    for p, cap in constrained:
-        phi = _truncate_to_rank(phi, p, cap)
-    # Local unitaries keep every Schmidt rank: the climb never leaves the class.
-    amplitudes = phi.amplitudes
-    best = _overlap(target, amplitudes)
-    eps = 0.4
-    for _ in range(CLIMB_STEPS):
-        ops = enumerate(_random_local_unitaries(target.dims, eps, rng))
-        cand = _apply_locals(amplitudes.reshape(target.dims), ops).reshape(-1)
-        cand = cand / np.linalg.norm(cand)
-        val = _overlap(target, cand)
-        if val > best:
-            best, amplitudes = val, cand
-        else:
-            eps *= 0.8
-    return max(best, _subspace_refine(target, PureState(target.dims, amplitudes), constrained))
+    tensor = target.amplitudes.reshape((1,) + target.dims)
+    axes = list(range(len(target.dims)))
+    isometries = list(isometries)
+    overlaps = np.vdot(tensor, tensor).real  # no constrained party: ||target||^2
+    for i, (p, v) in enumerate(isometries):
+        rest = _project(tensor, isometries[:i] + isometries[i + 1:])
+        bra = axes[:p] + [len(axes)] + axes[p + 1:]
+        weights, vectors = np.linalg.eigh(
+            np.einsum(rest, [..., *axes], rest.conj(), [..., *bra], [..., p, len(axes)]))
+        cap = v.shape[-1]
+        isometries[i] = (p, vectors[..., -cap:])
+        overlaps = weights[..., -cap:].sum(axis=-1)
+    return isometries, overlaps
 
 
 def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
                          seed: int) -> np.ndarray:
-    """Hill-climbing search for the best class overlap with ``target``.
+    """See-saw search for the best class overlap with ``target``.
 
-    Each restart draws a Haar-random state, truncates it into the class
-    (truncated-Schmidt ansatz), climbs with small random local unitaries,
-    and finishes with the closed-form best class state on the local
-    subspaces reached.  Restarts are seeded independently by index, so the
-    search is deterministic and parallelizable.  Returns the per-restart
-    best overlaps; none may exceed the analytic class bound.
+    Restart r runs member ``r % len(members)`` and starts each constrained
+    party (rank cap below its dimension) on the top-cap left Schmidt
+    vectors of a Haar-random state drawn from ``default_rng([seed, r])``.
+    ``SEESAW_SWEEPS`` sweeps, batched over the restarts of each member,
+    then raise the overlap of the class state supported on the local
+    subspaces.  Returns the per-restart overlaps; none may exceed the
+    analytic class bound.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     members = cls.members(target.dims)
     out = np.empty(restarts)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        out[r] = _restart_best(target, members[r % len(members)], rng)
+    for k, member in enumerate(members[:restarts]):
+        starts = [haar_random_state(target.dims, np.random.default_rng([seed, r]))
+                  for r in range(k, restarts, len(members))]
+        isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
+                                    for phi in starts]))
+                      for p, cap in enumerate(member) if cap < target.dims[p]]
+        for _ in range(SEESAW_SWEEPS):
+            isometries, overlaps = _sweep(target, isometries)
+        out[k::len(members)] = overlaps
     return out

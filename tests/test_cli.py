@@ -277,6 +277,19 @@ class TestFmax:
         assert report["bound"] == pytest.approx(0.5, abs=1e-12)
         assert report["search"]["max_overlap"] <= 0.5 + 1e-9
 
+    def test_search_diagnostics(self, tmp_path):
+        # Of the members of (2, 2, 1), only (2, 2, 1) itself reaches 1/2;
+        # (1, 2, 2) and (2, 1, 2) top out at 1/4.  Restart r runs member r % 3.
+        code, out = run(tmp_path, "fmax", "--ranks", "2", "2", "1", "--restarts", "50")
+        assert code == 0
+        report = read_json(out / "fmax_report.json")
+        search = report["search"]
+        assert report["class_members"] == [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
+        assert search["restarts_at_bound"] == 16
+        assert search["bound_gap"] == report["bound"] - search["max_overlap"]
+        assert abs(search["bound_gap"]) <= 1e-9
+        assert search["min_overlap"] == pytest.approx(0.25, abs=1e-9)
+
     def test_negative_restarts_rejected(self, tmp_path, capsys):
         code, out = run(tmp_path, "fmax", "--restarts", "-5")
         assert code == 2

@@ -222,6 +222,12 @@ class TestComputeQbers:
         assert abs(rep.sift_fraction_z - 0.5) < 0.02
         assert abs(rep.sift_fraction_x - 0.5) < 0.02
 
+    @pytest.mark.parametrize("label, size, expected", [("Z", 31, 32), ("X01-X01-X01", 8, 9)])
+    def test_counts_of_wrong_length_rejected(self, label, size, expected):
+        tables = {"Z": np.ones(32), "X01-X01-X01": np.ones(9), label: np.ones(size)}
+        with pytest.raises(ValueError, match=rf"'{label}' needs {expected} counts"):
+            qbers_from_counts(tables, LAYERS[0])
+
     def test_counts_missing_setting(self):
         with pytest.raises(ValueError, match="X01-X01-X01"):
             qbers_from_counts({"Z": {"000": 10}}, LAYERS[0])

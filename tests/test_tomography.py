@@ -13,6 +13,7 @@ from layered442.tomography import (
     MissingSettingError,
     born_probabilities,
     computational_setting,
+    count_tables,
     estimate_elements,
     exact_records,
     monte_carlo_errors,
@@ -66,6 +67,12 @@ class TestSettings:
         assert outcomes[0] == "+++" and outcomes[-1] == "rest"
         mixed = setting_outcomes(parse_setting_label("X02-X02-Z"))
         assert "++0" in mixed and "--1" in mixed and "rest" in mixed
+
+    def test_outcome_orders_built_once_per_setting(self):
+        plan = standard_plan()
+        setting_outcomes.cache_clear()
+        count_tables(exact_records(noisy_psi442(0.8), plan))
+        assert setting_outcomes.cache_info().misses == len(plan.settings) == 21
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

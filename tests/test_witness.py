@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from layered442.circuit import make_psi442
 from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements
 from layered442.hilbert import PureState, fidelity_pure, haar_random_state
+from layered442 import witness
 from layered442.witness import (
     ALL_KETS,
     OFFDIAG_PAIRS,
@@ -157,6 +158,50 @@ def test_search_never_exceeds_class_bound(ranks, seed):
     target, cls = make_psi442(), RankVectorClass(ranks)
     overlaps = search_class_overlap(target, cls, 4, seed)
     assert overlaps.max() <= fmax_class_bound(target, cls) + 1e-9
+
+
+def test_search_reaches_every_class_bound():
+    target = make_psi442()
+    missed = {}
+    for ranks in VALID_CLASSES:
+        cls = RankVectorClass(ranks)
+        best, bound = search_class_overlap(target, cls, 4, 0).max(), fmax_class_bound(target, cls)
+        if best < bound - 1e-9:
+            missed[ranks] = (best, bound)
+    assert len(VALID_CLASSES) == 56
+    assert missed == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranks=st.sampled_from(VALID_CLASSES), seed=st.integers(0, 2**16))
+def test_search_never_exceeds_bound_on_haar_targets(ranks, seed):
+    target, cls = haar_random_state((4, 4, 2), np.random.default_rng(seed)), RankVectorClass(ranks)
+    overlaps = search_class_overlap(target, cls, 4, seed)
+    assert overlaps.max() <= fmax_class_bound(target, cls) + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranks=st.sampled_from(VALID_CLASSES), seed=st.integers(0, 2**16))
+def test_sweeps_never_lower_the_overlap(ranks, seed):
+    rng = np.random.default_rng(seed)
+    target = haar_random_state((4, 4, 2), rng)
+    member = RankVectorClass(ranks).members(target.dims)[-1]
+    isometries = []
+    for p, cap in enumerate(member):
+        if cap < target.dims[p]:
+            vectors, _ = np.linalg.qr(rng.normal(size=(3, target.dims[p], cap))
+                                      + 1j * rng.normal(size=(3, target.dims[p], cap)))
+            isometries.append((p, vectors))
+    if not isometries:
+        return
+    tensor = target.amplitudes.reshape((1,) + target.dims)
+    history = [np.sum(np.abs(witness._project(tensor, isometries)) ** 2, axis=(1, 2, 3))]
+    for _ in range(8):
+        isometries, overlaps = witness._sweep(target, isometries)
+        attained = np.sum(np.abs(witness._project(tensor, isometries)) ** 2, axis=(1, 2, 3))
+        assert np.allclose(overlaps, attained, rtol=0, atol=1e-12)
+        history.append(np.broadcast_to(attained, (3,)))
+    assert np.all(np.diff(history, axis=0) >= -1e-12)
 
 
 class TestFidelityFromElements:
