@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass
@@ -145,14 +146,18 @@ def _noisy_state(cfg: RunConfig):
     return circuit.noisy_psi442(cfg.visibility)
 
 
+def _records(cfg: RunConfig, counts_path) -> list[tomography.CountRecord]:
+    """Count records from a counts file, or simulated with the config."""
+    if counts_path:
+        return tomography.records_from_json(counts_path)
+    plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
+    return tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
+
+
 def _monte_carlo(cfg: RunConfig, counts_path) -> tomography.MonteCarloResult:
     """Estimates with error bars from a counts file, or from counts simulated with the config."""
-    if counts_path:
-        records = tomography.records_from_json(counts_path)
-    else:
-        plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
-        records = tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
-    return tomography.monte_carlo_errors(records, cfg.monte_carlo_trials, cfg.seed)
+    return tomography.monte_carlo_errors(_records(cfg, counts_path), cfg.monte_carlo_trials,
+                                         cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +276,11 @@ def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
     if use_fixture:
         value, std = published
     else:
-        value, std = _monte_carlo(cfg, counts_path).subspace_fidelities[pair]
+        value, std = tomography.subspace_monte_carlo(_records(cfg, counts_path), pair,
+                                                     cfg.monte_carlo_trials, cfg.seed)
+        if math.isnan(value):
+            raise ValueError(f"subspace ({pair[0]}, {pair[1]}) has zero population: "
+                             f"setting 'Z' has no counts of {pair[0]} or {pair[1]}")
     witnessed = witness.gme_witnessed(value)
     out = _out_dir(cfg)
     _write_json(cfg, out / "subspace_report.json", {

@@ -33,6 +33,7 @@ from .witness import (
     ALL_KETS,
     OFFDIAG_PAIRS,
     ElementEstimate,
+    _checked_diagonal_sum,
     fidelity_from_arrays,
     fidelity_from_elements,
     offdiag_from_correlators,
@@ -57,6 +58,7 @@ __all__ = [
     "exact_records",
     "estimate_elements",
     "monte_carlo_errors",
+    "subspace_monte_carlo",
     "records_to_json",
     "records_from_json",
     "count_tables",
@@ -74,6 +76,10 @@ Z_LABEL = "Z"
 # simulate_counts' (seed, index) streams; SeedSequence drops trailing zeros,
 # so the tag must be non-zero.
 _RESAMPLE_STREAM = 1
+
+# numpy's Poisson sampler rejects means above this (int64 max - 10 sqrt(int64
+# max)); a larger count could be read but never resampled.
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 class MissingSettingError(ValueError):
@@ -117,10 +123,13 @@ class CountRecord:
 
     def __post_init__(self):
         c = self.counts
-        if (isinstance(c, bool) or not isinstance(c, numbers.Real)
-                or not math.isfinite(c) or c < 0):
-            raise ValueError(f"counts for setting {self.setting!r} outcome {self.outcome!r} "
-                             f"must be a finite non-negative number, got {c!r}")
+        where = f"counts for setting {self.setting!r} outcome {self.outcome!r}"
+        # Compared, not converted: a huge int is finite but overflows a float.
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 <= c < math.inf:
+            raise ValueError(f"{where} must be a finite non-negative number, got {c!r}")
+        if c > _POISSON_LAM_MAX:
+            raise ValueError(f"{where} must be at most {_POISSON_LAM_MAX:.10g} "
+                             f"to be resampled, got {c!r}")
 
 
 @dataclass(frozen=True)
@@ -251,6 +260,7 @@ ELEMENT_PLANS = {pair: element_plan(*pair) for pair in OFFDIAG_PAIRS}
 # The computational setting plus the 20 correlators, parsed once.
 _STANDARD_SETTINGS = tuple(parse_setting_label(label) for label in dict.fromkeys(
     [Z_LABEL] + [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]))
+_PLAN_INDEX = {s.label: index for index, s in enumerate(_STANDARD_SETTINGS)}
 
 
 def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> ExperimentPlan:
@@ -416,6 +426,40 @@ class MonteCarloResult:
     degenerate: bool
 
 
+def _resample(arrays, labels, trials: int, seed: int) -> dict[str, np.ndarray]:
+    """Poisson(count) draws of each labelled setting, shape (trials, outcomes).
+
+    Each setting draws from its own stream keyed by (seed, index in
+    :func:`standard_plan`, 1), so a subset of the settings gets exactly the
+    draws the full set would.
+    """
+    resampled = {}
+    for label in labels:
+        rng = np.random.default_rng([int(seed), _PLAN_INDEX[label], _RESAMPLE_STREAM])
+        counts = arrays[label]
+        resampled[label] = rng.poisson(counts, size=(trials, counts.size)).astype(float)
+    return resampled
+
+
+def _subspace_estimate(pair, central_diag, coherence, diag_samples, coherence_samples):
+    """(value, spread) of one pair's subspace fidelity from central and resampled elements.
+
+    Both are nan when the pair's central population is zero.  The spread
+    is the std over the trials with non-zero population, nan below two
+    such trials, and 0 for a single trial.
+    """
+    i, j = ALL_KETS.index(pair[0]), ALL_KETS.index(pair[1])
+    if not central_diag[i].value + central_diag[j].value > 0:
+        return float("nan"), float("nan")
+    central = subspace_fidelity(central_diag[i].value, central_diag[j].value, coherence)
+    fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], coherence_samples)
+    finite = np.count_nonzero(~np.isnan(fsub))
+    # Below two finite trials the spread is undefined (nanstd would warn).
+    spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
+              else 0.0 if len(fsub) == 1 else float("nan"))
+    return central, spread
+
+
 def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     """Propagate Poissonian counting errors by resampling the experiment.
 
@@ -432,11 +476,7 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
         raise ValueError("trials must be >= 1")
     central_diag, central_off = estimate_elements(records)
     fidelity = fidelity_from_elements(central_diag, central_off)
-    arrays = count_tables(records)
-    resampled = {}
-    for index, label in enumerate(required_settings()):
-        rng = np.random.default_rng([int(seed), index, _RESAMPLE_STREAM])
-        resampled[label] = rng.poisson(arrays[label], size=(trials, arrays[label].size)).astype(float)
+    resampled = _resample(count_tables(records), required_settings(), trials, seed)
     diag_samples, off_samples = _element_arrays(resampled)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
 
@@ -451,19 +491,10 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
         ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats)
         for e, samples in zip(central_off, off_samples.T)
     )
-    subspace = {}
-    for e, samples in zip(central_off, off_samples.T):
-        i, j = ALL_KETS.index(e.bra), ALL_KETS.index(e.ket)
-        if central_diag[i].value + central_diag[j].value > 0:
-            central = subspace_fidelity(central_diag[i].value, central_diag[j].value, e.value)
-            fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], samples)
-            finite = np.count_nonzero(~np.isnan(fsub))
-            # Below two finite trials the spread is undefined (nanstd would warn).
-            spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
-                      else 0.0 if trials == 1 else float("nan"))
-            subspace[e.pair()] = (central, spread)
-        else:
-            subspace[e.pair()] = (float("nan"), float("nan"))
+    subspace = {
+        pair: _subspace_estimate(pair, central_diag, e.value, diag_samples, samples)
+        for pair, e, samples in zip(OFFDIAG_PAIRS, central_off, off_samples.T)
+    }
 
     return MonteCarloResult(
         diagonals=diagonals,
@@ -475,3 +506,25 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
         trials=trials,
         degenerate=trials < 100,
     )
+
+
+def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, float]:
+    """One pair's subspace fidelity and its Monte Carlo spread.
+
+    Equal bit for bit to ``monte_carlo_errors(records, trials,
+    seed).subspace_fidelities[pair]``, and rejects the same records with
+    the same message, but resamples only the computational setting and the
+    correlator settings of ``pair``, on the streams the full resampling
+    gives them.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    central_diag, central_off = estimate_elements(records)
+    _checked_diagonal_sum(np.array([e.value for e in central_diag]))
+    labels = [Z_LABEL] + [label for label, _, _ in ELEMENT_PLANS[pair]]
+    resampled = _resample(count_tables(records), labels, trials, seed)
+    coherence_samples = _element_value(resampled, pair)
+    diag_samples = _diagonal_values(resampled[Z_LABEL])
+    _checked_diagonal_sum(diag_samples)
+    coherence = central_off[OFFDIAG_PAIRS.index(pair)].value
+    return _subspace_estimate(pair, central_diag, coherence, diag_samples, coherence_samples)

@@ -193,6 +193,16 @@ def _ordered_sum(values: np.ndarray):
     return sum(np.moveaxis(values, -1, 0))
 
 
+def _checked_diagonal_sum(diag: np.ndarray):
+    """Diagonal sums over the last axis; raises when any leaves the 2% band around 1."""
+    total = _ordered_sum(diag)
+    drift = np.abs(total - 1.0)
+    if np.any(drift > DIAG_SUM_TOL):
+        worst = np.ravel(total)[np.argmax(drift)]
+        raise ValueError(f"diagonal elements sum to {worst:.4f}, outside the 2% band")
+    return total
+
+
 def fidelity_from_arrays(diagonals, offdiagonals):
     """Target fidelity from element arrays, broadcasting over leading axes.
 
@@ -204,11 +214,7 @@ def fidelity_from_arrays(diagonals, offdiagonals):
     its own measurement setting.
     """
     diag = np.asarray(diagonals, dtype=float)
-    total = _ordered_sum(diag)
-    drift = np.abs(total - 1.0)
-    if np.any(drift > DIAG_SUM_TOL):
-        worst = np.ravel(total)[np.argmax(drift)]
-        raise ValueError(f"diagonal elements sum to {worst:.4f}, outside the 2% band")
+    total = _checked_diagonal_sum(diag)
     diag_sum = _ordered_sum(diag[..., _SIGNAL_INDICES]) / total
     fidelity = (diag_sum + 2.0 * _ordered_sum(np.asarray(offdiagonals, dtype=float))) / 4.0
     return float(fidelity) if np.ndim(fidelity) == 0 else fidelity

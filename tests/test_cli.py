@@ -24,6 +24,57 @@ def read_csv(path):
 
 BAD_COUNT = "counts for setting 'Z' outcome '000' must be a finite non-negative number,"
 
+MALFORMED_COUNTS = pytest.mark.parametrize("edit, cause", [
+    (lambda d: d[0].update(counts="7"), f"{BAD_COUNT} got '7'"),
+    (lambda d: d[0].update(counts=None), f"{BAD_COUNT} got None"),
+    (lambda d: d[0].update(counts=True), f"{BAD_COUNT} got True"),
+    (lambda d: d[0].update(counts=float("nan")), f"{BAD_COUNT} got nan"),
+    (lambda d: d[0].update(counts=float("inf")), f"{BAD_COUNT} got inf"),
+    (lambda d: d.__setitem__(3, ["Z", "000", 3]), "count record 3 is not a JSON object"),
+    (lambda d: d[5].pop("outcome"), "count record 5 lacks 'outcome'"),
+    (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
+], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
+        "duplicate"])
+
+# Reads Z, X02-X02-Z and Y02-Y02-Z only.
+SUBSPACE_000_220 = ("subspace", "000", "220")
+
+
+def edited_counts(tmp_path, edit):
+    """Simulate counts, apply ``edit`` to the records in place, return the edited file."""
+    code, out = run(tmp_path, "simulate-counts")
+    assert code == 0
+    data = read_json(out / "counts.json")
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def prune(data, settings):
+    data[:] = [r for r in data if r["setting"] not in settings]
+
+
+def zero_counts(data, setting=None, keep=None):
+    """Zero the counts of ``setting`` (all settings if None), except outcome ``keep`` -> 1."""
+    for r in data:
+        if setting in (None, r["setting"]):
+            r["counts"] = 1 if r["outcome"] == keep else 0
+
+
+def set_count(data, setting, outcome, count):
+    for r in data:
+        if (r["setting"], r["outcome"]) == (setting, outcome):
+            r["counts"] = count
+
+
+def rejected(tmp_path, capsys, counts, *command, report):
+    """Exit code 2, no ``report`` written; returns stderr."""
+    code, out = run(tmp_path, *command, "--counts", str(counts))
+    assert code == 2
+    assert not (out / report).exists()
+    return capsys.readouterr().err
+
 
 class TestGenState:
     def test_default_run(self, tmp_path):
@@ -105,15 +156,8 @@ class TestWitness:
         assert report["certified"] is False
 
     def test_incomplete_counts_rejected(self, tmp_path, capsys):
-        code, out = run(tmp_path, "simulate-counts")
-        assert code == 0
-        data = read_json(out / "counts.json")
-        pruned = [r for r in data if r["setting"] not in ("X03-X03-X01", "Y03-Y03-X01")]
-        bad = tmp_path / "pruned.json"
-        bad.write_text(json.dumps(pruned))
-        code = main(["--out", str(out), "witness", "--counts", str(bad)])
-        assert code == 2
-        err = capsys.readouterr().err
+        counts = edited_counts(tmp_path, lambda d: prune(d, ("X03-X03-X01", "Y03-Y03-X01")))
+        err = rejected(tmp_path, capsys, counts, "witness", report="witness_report.json")
         assert "X03-X03-X01" in err and "Y03-Y03-X01" in err
 
     def test_shuffled_counts_byte_identical(self, tmp_path):
@@ -137,37 +181,14 @@ class TestWitness:
 
     @pytest.mark.filterwarnings("error")
     def test_all_zero_counts_rejected(self, tmp_path, capsys):
-        code, out = run(tmp_path, "simulate-counts")
-        assert code == 0
-        zeros = tmp_path / "zeros.json"
-        zeros.write_text(json.dumps([dict(r, counts=0) for r in read_json(out / "counts.json")]))
-        code, _ = run(tmp_path, "witness", "--counts", str(zeros))
-        assert code == 2
-        assert "diagonal elements sum to 0.0000" in capsys.readouterr().err
-        assert not (out / "witness_report.json").exists()
+        counts = edited_counts(tmp_path, zero_counts)
+        err = rejected(tmp_path, capsys, counts, "witness", report="witness_report.json")
+        assert "diagonal elements sum to 0.0000" in err
 
-    @pytest.mark.parametrize("edit, cause", [
-        (lambda d: d[0].update(counts="7"), f"{BAD_COUNT} got '7'"),
-        (lambda d: d[0].update(counts=None), f"{BAD_COUNT} got None"),
-        (lambda d: d[0].update(counts=True), f"{BAD_COUNT} got True"),
-        (lambda d: d[0].update(counts=float("nan")), f"{BAD_COUNT} got nan"),
-        (lambda d: d[0].update(counts=float("inf")), f"{BAD_COUNT} got inf"),
-        (lambda d: d.__setitem__(3, ["Z", "000", 3]), "count record 3 is not a JSON object"),
-        (lambda d: d[5].pop("outcome"), "count record 5 lacks 'outcome'"),
-        (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
-    ], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
-            "duplicate"])
+    @MALFORMED_COUNTS
     def test_malformed_counts_rejected(self, tmp_path, capsys, edit, cause):
-        code, out = run(tmp_path, "simulate-counts")
-        assert code == 0
-        data = read_json(out / "counts.json")
-        edit(data)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        code, _ = run(tmp_path, "witness", "--counts", str(bad))
-        assert code == 2
-        assert cause in capsys.readouterr().err
-        assert not (out / "witness_report.json").exists()
+        counts = edited_counts(tmp_path, edit)
+        assert cause in rejected(tmp_path, capsys, counts, "witness", report="witness_report.json")
 
     def test_consistency_warnings_flag_excess_coherence(self):
         from layered442.cli import _consistency_warnings
@@ -218,6 +239,61 @@ class TestSubspace:
         assert code == 2
         code, _ = run(tmp_path, "subspace", "000", "000")
         assert code == 2
+
+    # The witness rejection cases, on a pair that reads only 3 of the 21 settings.
+
+    def test_incomplete_counts_rejected(self, tmp_path, capsys):
+        counts = edited_counts(tmp_path, lambda d: prune(d, ("X03-X03-X01", "Y03-Y03-X01")))
+        err = rejected(tmp_path, capsys, counts, *SUBSPACE_000_220, report="subspace_report.json")
+        assert "X03-X03-X01" in err and "Y03-Y03-X01" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_zero_counts_rejected(self, tmp_path, capsys):
+        counts = edited_counts(tmp_path, zero_counts)
+        err = rejected(tmp_path, capsys, counts, *SUBSPACE_000_220, report="subspace_report.json")
+        assert "diagonal elements sum to 0.0000" in err
+
+    @MALFORMED_COUNTS
+    def test_malformed_counts_rejected(self, tmp_path, capsys, edit, cause):
+        counts = edited_counts(tmp_path, edit)
+        err = rejected(tmp_path, capsys, counts, *SUBSPACE_000_220, report="subspace_report.json")
+        assert cause in err
+
+    def test_zero_population_rejected(self, tmp_path, capsys):
+        def empty_pair(data):
+            set_count(data, "Z", "000", 0)
+            set_count(data, "Z", "111", 0)
+
+        counts = edited_counts(tmp_path, empty_pair)
+        err = rejected(tmp_path, capsys, counts, "subspace", "000", "111",
+                       report="subspace_report.json")
+        assert ("subspace (000, 111) has zero population: "
+                "setting 'Z' has no counts of 000 or 111") in err
+
+
+# Both commands that resample counts; subspace 000 220 does not read X01-X01-X01.
+RESAMPLING_COMMANDS = pytest.mark.parametrize("command, report", [
+    (("witness",), "witness_report.json"),
+    (SUBSPACE_000_220, "subspace_report.json"),
+], ids=["witness", "subspace"])
+
+
+@RESAMPLING_COMMANDS
+@pytest.mark.filterwarnings("error")
+def test_sparse_counts_rejected(tmp_path, capsys, command, report):
+    # One Z count: the central sum is 1, but a resampled trial draws 0.
+    counts = edited_counts(tmp_path, lambda d: zero_counts(d, "Z", keep="000"))
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert "diagonal elements sum to 0.0000" in err
+
+
+@RESAMPLING_COMMANDS
+@pytest.mark.parametrize("count", [10**19, 1e19], ids=["int", "float"])
+def test_unresamplable_count_rejected(tmp_path, capsys, command, report, count):
+    counts = edited_counts(tmp_path, lambda d: set_count(d, "X01-X01-X01", "+++", count))
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert (f"counts for setting 'X01-X01-X01' outcome '+++' must be at most "
+            f"9.223372006e+18 to be resampled, got {count!r}") in err
 
 
 class TestQkd:

@@ -23,6 +23,7 @@ from layered442.tomography import (
     setting_outcomes,
     simulate_counts,
     standard_plan,
+    subspace_monte_carlo,
     CountRecord,
     ExperimentPlan,
 )
@@ -200,6 +201,17 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             CountRecord("Z", "000", -1)
 
+    def test_counts_beyond_the_poisson_sampler_rejected(self):
+        # numpy's Poisson sampler draws 9.2e18 but raises "lam value too large" at 9.3e18.
+        limit = 9.223372006484771e18
+        np.random.default_rng(0).poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(limit, math.inf))
+        CountRecord("Z", "000", limit)
+        for count in (np.nextafter(limit, math.inf), 10**19, 10**400):
+            with pytest.raises(ValueError, match="must be at most 9.223372006e\\+18"):
+                CountRecord("Z", "000", count)
+
     def test_json_round_trip(self, tmp_path):
         rho = noisy_psi442(0.8493)
         recs = simulate_counts(rho, standard_plan(), seed=5)
@@ -361,3 +373,26 @@ class TestMonteCarlo:
         recs = simulate_counts(noisy_psi442(0.8493), standard_plan(), seed=1)
         with pytest.raises(ValueError):
             monte_carlo_errors(recs, trials=0, seed=1)
+        with pytest.raises(ValueError):
+            subspace_monte_carlo(recs, OFFDIAG_PAIRS[0], trials=0, seed=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.sampled_from([1, 2, 50]),
+       integration_time=st.sampled_from([0.5, 2.0, 10.0, 100.0, 1800.0]))
+def test_subspace_monte_carlo_equals_full_resampling(seed, trials, integration_time):
+    # rate x time from 0.33 (most files fail the band check) to 1188 counts per setting.
+    rho = random_density((4, 4, 2), np.random.default_rng(seed))
+    recs = simulate_counts(rho, standard_plan(0.66, integration_time), seed)
+    try:
+        full = monte_carlo_errors(recs, trials, seed).subspace_fidelities
+    except ValueError as exc:
+        for pair in OFFDIAG_PAIRS:
+            with pytest.raises(ValueError) as raised:
+                subspace_monte_carlo(recs, pair, trials, seed)
+            assert str(raised.value) == str(exc)
+        return
+    for pair in OFFDIAG_PAIRS:
+        value, spread = subspace_monte_carlo(recs, pair, trials, seed)
+        # Bitwise, so nan equals nan.
+        assert np.array([value, spread]).tobytes() == np.array(full[pair]).tobytes(), pair
