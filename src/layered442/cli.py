@@ -110,9 +110,10 @@ def _write_json(cfg: RunConfig, path: Path, payload: dict):
     payload["config"] = asdict(cfg)
     if not cfg.no_timestamp:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    # Serialised before the file opens: a NaN or infinity raises and leaves no file.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(cfg: RunConfig, path: Path, header, rows):
@@ -281,6 +282,10 @@ def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
         if math.isnan(value):
             raise ValueError(f"subspace ({pair[0]}, {pair[1]}) has zero population: "
                              f"setting 'Z' has no counts of {pair[0]} or {pair[1]}")
+        if not 0 < std < math.inf:
+            raise ValueError(f"subspace ({pair[0]}, {pair[1]}) fidelity spread is {std} after "
+                             f"{cfg.monte_carlo_trials} Monte Carlo trial(s); it must be a "
+                             f"positive finite number")
     witnessed = witness.gme_witnessed(value)
     out = _out_dir(cfg)
     _write_json(cfg, out / "subspace_report.json", {
@@ -305,20 +310,17 @@ def _qkd_rows_fixture():
     return rows
 
 
-def _qkd_rows_simulated(cfg: RunConfig, rounds: int):
+def _qkd_tables_simulated(cfg: RunConfig, rounds: int) -> dict:
+    """Count tables of simulated rounds; each basis is drawn once and binned as soon as drawn."""
     rho = _noisy_state(cfg)
-    z = qkd.sample_z_rounds(rho, rounds, cfg.seed)
-    rows = []
+    tables = qkd.round_tables({"Z": qkd.sample_z_rounds(rho, rounds, cfg.seed)})
     for layer in qkd.LAYERS:
-        x = qkd.sample_x_rounds(rho, layer, rounds, cfg.seed)
-        report = qkd.compute_qbers({"Z": z, "X": x}, layer)
-        rows.append(("/".join(layer.signal_kets), report, qkd.asymptotic_key_rate(report), None))
-    return rows
+        tables.update(qkd.round_tables({"X": qkd.sample_x_rounds(rho, layer, rounds, cfg.seed)},
+                                       layer))
+    return tables
 
 
-def _qkd_rows_counts(counts_path):
-    records = tomography.records_from_json(counts_path)
-    tables = tomography.count_tables(records)
+def _qkd_rows(tables: dict):
     rows = []
     for layer in qkd.LAYERS:
         report = qkd.qbers_from_counts(tables, layer)
@@ -332,9 +334,9 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int) -> int:
     if use_fixture:
         rows = _qkd_rows_fixture()
     elif counts_path:
-        rows = _qkd_rows_counts(counts_path)
+        rows = _qkd_rows(tomography.count_tables(tomography.records_from_json(counts_path)))
     else:
-        rows = _qkd_rows_simulated(cfg, rounds)
+        rows = _qkd_rows(_qkd_tables_simulated(cfg, rounds))
     header = ["subspace", "qber_z", "qber_x", "qber_z_ab", "qber_z_ac",
               "key_per_round_mean", "key_per_round_pessimistic",
               "key_per_round_published", "abs_discrepancy"]

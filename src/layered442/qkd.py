@@ -35,6 +35,7 @@ __all__ = [
     "key_map_abc",
     "key_map_ab",
     "binary_entropy",
+    "round_tables",
     "compute_qbers",
     "qbers_from_counts",
     "asymptotic_key_rate",
@@ -175,6 +176,14 @@ def _binomial_std(q: float, n: int) -> float:
 
 
 @functools.cache
+def _z_digits(dims) -> np.ndarray:
+    """Read-only digits of every computational outcome, one row each, in ``ALL_KETS`` order."""
+    digits = np.column_stack(np.unravel_index(np.arange(math.prod(dims)), dims))
+    digits.flags.writeable = False
+    return digits
+
+
+@functools.cache
 def _layer_weights(layer: LayerSpec) -> tuple:
     """Read-only 0/1 weight rows that pick a layer's sifted and erroneous outcomes.
 
@@ -184,14 +193,17 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     outcomes in ``ALL_KETS`` order.  ``x_weights`` rows are sifted and
     error over the layer's X-setting outcomes, residual last.  A Z outcome
     is sifted when each participant's digit lies in its layer pair, an
-    error when their key bits differ; an X outcome is an error when an odd
-    number of participants read ``-``.
+    error when their key bits (:func:`key_map_abc` for three-party layers,
+    :func:`key_map_ab` for two-party ones) differ; an X outcome is an error
+    when an odd number of participants read ``-``.
     """
-    digits = np.column_stack(np.unravel_index(np.arange(math.prod(DIMS_442)), DIMS_442))
-    digits = digits[:, layer.party_indices]
+    digits = _z_digits(DIMS_442)[:, layer.party_indices]
     k0, k1 = np.array(layer.digit_pairs).T
+    key_map = key_map_abc if layer.is_tripartite else key_map_ab
+    if any(key_map(a) == key_map(b) for a, b in layer.digit_pairs):
+        raise ValueError(f"layer {layer.layer_id}: the key map gives both kets the same bit")
     sifted = ((digits == k0) | (digits == k1)).all(axis=1)
-    bits = digits == k1
+    bits = np.array([key_map(k) for k in range(max(DIMS_442))])[digits]
     pairs = ((0, 1), (0, 2), (1, 2)) if layer.is_tripartite else ()
     pair_keys = tuple((layer.participants[i] + layer.participants[j]).lower() for i, j in pairs)
     z_rows = [sifted, (bits != bits[:, :1]).any(axis=1)]
@@ -242,30 +254,51 @@ def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
     )
 
 
+def round_tables(samples: dict, layer: LayerSpec | None = None) -> dict[str, np.ndarray]:
+    """Count tables of per-round outcomes, in the ``tomography.count_tables`` form.
+
+    ``samples["Z"]`` holds (n, 3) computational outcome digits and
+    ``samples["X"]`` the outcome indices of ``layer``'s X setting, as
+    :func:`sample_z_rounds` and :func:`sample_x_rounds` draw them; either
+    may be absent, and ``layer`` is needed only for "X".  Returns ``{"Z":
+    32 counts in ALL_KETS order, layer.x_setting_label: counts}`` for the
+    bases given.  Empty rounds and a digit or index out of range are rejected.
+    """
+    arrays = {basis: np.asarray(samples[basis], dtype=int) for basis in ("Z", "X")
+              if basis in samples}
+    if any(a.size == 0 for a in arrays.values()):
+        raise ValueError("empty sample set")
+    tables = {}
+    if "Z" in arrays:
+        z = arrays["Z"]
+        if z.ndim != 2 or z.shape[1] != len(DIMS_442):
+            raise ValueError(f"Z rounds must be an (n, {len(DIMS_442)}) digit array, got {z.shape}")
+        try:
+            flat = np.ravel_multi_index(z.T, DIMS_442)
+        except ValueError:
+            for party, column, d in zip(PARTY_NAMES, z.T, DIMS_442):
+                if column.min() < 0 or column.max() >= d:
+                    raise ValueError(f"Z digit of party {party} outside [0, {d})") from None
+            raise
+        tables["Z"] = np.bincount(flat, minlength=math.prod(DIMS_442))
+    if "X" in arrays:
+        x = arrays["X"]
+        n_x = _layer_weights(layer)[2].shape[1]
+        if x.ndim != 1 or x.min() < 0 or x.max() >= n_x:
+            raise ValueError(f"X rounds must be outcome indices in [0, {n_x}) "
+                             f"of setting {layer.x_setting_label}")
+        tables[layer.x_setting_label] = np.bincount(x, minlength=n_x)
+    return tables
+
+
 def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
     """Error rates from per-round outcomes.
 
-    ``samples["Z"]`` holds (n, 3) computational outcome digits and
-    ``samples["X"]`` the outcome indices of the layer's X setting, as
-    :func:`sample_z_rounds` and :func:`sample_x_rounds` draw them.  The
-    rounds are binned into counts and go through the same layer weights as
+    ``samples`` holds "Z" digits and "X" outcome indices as
+    :func:`round_tables` takes them; the binned rounds go through
     :func:`qbers_from_counts`.
     """
-    z = np.asarray(samples["Z"], dtype=int)
-    x = np.asarray(samples["X"], dtype=int)
-    if z.size == 0 or x.size == 0:
-        raise ValueError("empty sample set")
-    if z.ndim != 2 or z.shape[1] != len(DIMS_442):
-        raise ValueError(f"Z rounds must be an (n, {len(DIMS_442)}) digit array, got {z.shape}")
-    for party, column, d in zip(PARTY_NAMES, z.T, DIMS_442):
-        if column.min() < 0 or column.max() >= d:
-            raise ValueError(f"Z digit of party {party} outside [0, {d})")
-    n_x = _layer_weights(layer)[2].shape[1]
-    if x.ndim != 1 or x.min() < 0 or x.max() >= n_x:
-        raise ValueError(f"X rounds must be outcome indices in [0, {n_x}) "
-                         f"of setting {layer.x_setting_label}")
-    z_counts = np.bincount(np.ravel_multi_index(z.T, DIMS_442), minlength=math.prod(DIMS_442))
-    return _count_qbers(z_counts, np.bincount(x, minlength=n_x), layer)
+    return qbers_from_counts(round_tables(samples, layer), layer)
 
 
 def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
@@ -325,7 +358,7 @@ def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: 
 
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:
     """Sample (n, 3) computational outcome digits from the state."""
-    return np.column_stack(np.unravel_index(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), rho.dims))
+    return _z_digits(rho.dims).take(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), axis=0)
 
 
 def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -> np.ndarray:

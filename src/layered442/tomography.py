@@ -387,7 +387,11 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
     their signed weights.  Standard deviations are left at zero; use
     :func:`monte_carlo_errors` for error bars.
     """
-    arrays = count_tables(records)
+    return _estimate(count_tables(records))
+
+
+def _estimate(arrays) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
+    """:func:`estimate_elements` on count tables already built."""
     missing = [label for label in required_settings() if label not in arrays]
     if missing:
         raise MissingSettingError(missing)
@@ -474,9 +478,10 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    central_diag, central_off = estimate_elements(records)
+    tables = count_tables(records)
+    central_diag, central_off = _estimate(tables)
     fidelity = fidelity_from_elements(central_diag, central_off)
-    resampled = _resample(count_tables(records), required_settings(), trials, seed)
+    resampled = _resample(tables, required_settings(), trials, seed)
     diag_samples, off_samples = _element_arrays(resampled)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
 
@@ -519,10 +524,11 @@ def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    central_diag, central_off = estimate_elements(records)
+    tables = count_tables(records)
+    central_diag, central_off = _estimate(tables)
     _checked_diagonal_sum(np.array([e.value for e in central_diag]))
     labels = [Z_LABEL] + [label for label, _, _ in ELEMENT_PLANS[pair]]
-    resampled = _resample(count_tables(records), labels, trials, seed)
+    resampled = _resample(tables, labels, trials, seed)
     coherence_samples = _element_value(resampled, pair)
     diag_samples = _diagonal_values(resampled[Z_LABEL])
     _checked_diagonal_sum(diag_samples)

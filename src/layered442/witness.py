@@ -289,8 +289,8 @@ def gme_witnessed(fidelity: float) -> bool:
 
 def certify_dimensionality(f_exp: float, std: float, bound: float = FMAX_BOUND) -> Certification:
     """Compare a measured fidelity against a class bound in sigma units."""
-    if std <= 0:
-        raise ValueError("std must be positive")
+    if not 0 < std < np.inf:
+        raise ValueError("std must be a positive finite number")
     margin = (f_exp - bound) / std
     return Certification(f_exp, std, bound, margin, f_exp > bound)
 

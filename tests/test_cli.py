@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from layered442.cli import main
+from layered442.cli import RunConfig, _write_json, main
 
 
 def run(tmp_path, *args):
@@ -259,6 +259,21 @@ class TestSubspace:
         err = rejected(tmp_path, capsys, counts, *SUBSPACE_000_220, report="subspace_report.json")
         assert cause in err
 
+    def test_nan_spread_rejected(self, tmp_path, capsys):
+        # One of the two trials has no 111 or 220 count, so the spread is nan.
+        code, out = run(tmp_path, "--time", "2", "--trials", "2", "subspace", "111", "220")
+        assert code == 2
+        assert not (out / "subspace_report.json").exists()
+        assert ("subspace (111, 220) fidelity spread is nan after 2 Monte Carlo trial(s)"
+                in capsys.readouterr().err)
+
+    def test_single_trial_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "--trials", "1", "subspace", "000", "111")
+        assert code == 2
+        assert not (out / "subspace_report.json").exists()
+        assert ("subspace (000, 111) fidelity spread is 0.0 after 1 Monte Carlo trial(s)"
+                in capsys.readouterr().err)
+
     def test_zero_population_rejected(self, tmp_path, capsys):
         def empty_pair(data):
             set_count(data, "Z", "000", 0)
@@ -371,6 +386,13 @@ class TestFmax:
         assert code == 2
         assert "--restarts must be >= 0" in capsys.readouterr().err
         assert not (out / "fmax_report.json").exists()
+
+
+def test_non_finite_json_value_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_json(RunConfig(), path, {"value": float("nan")})
+    assert not path.exists()
 
 
 class TestConfig:

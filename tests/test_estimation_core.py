@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layered442 import qkd
 from layered442.circuit import make_psi442, noisy_psi442
+from layered442.cli import RunConfig, _qkd_tables_simulated
 from layered442.hilbert import DensityOperator, fidelity_pure
 from layered442.qkd import (
     LAYERS,
@@ -98,6 +100,32 @@ def test_round_qbers_equal_binned_count_qbers(rho, layer, rounds, seed):
             qbers_from_counts(tables, layer)
         return
     assert dataclasses.asdict(from_rounds) == dataclasses.asdict(qbers_from_counts(tables, layer))
+
+
+@PROPERTY_SETTINGS
+@given(rho=densities(), rounds=st.integers(1, 3000), seed=st.integers(0, 2**16))
+def test_z_rounds_are_unravelled_outcome_draws(rho, rounds, seed):
+    draws = qkd._draw_outcomes(rho, "Z", rounds, seed, qkd._Z_STREAM)
+    expected = np.column_stack(np.unravel_index(draws, rho.dims))
+    assert np.array_equal(sample_z_rounds(rho, rounds, seed), expected)
+
+
+@PROPERTY_SETTINGS
+@given(visibility=st.floats(0.0, 1.0), layer=st.sampled_from(LAYERS),
+       rounds=st.integers(1, 3000), seed=st.integers(0, 2**16))
+def test_cli_round_tables_equal_compute_qbers(visibility, layer, rounds, seed):
+    cfg = RunConfig(seed=seed, visibility=visibility)
+    rho = noisy_psi442(visibility)
+    samples = {"Z": sample_z_rounds(rho, rounds, seed),
+               "X": sample_x_rounds(rho, layer, rounds, seed)}
+    tables = _qkd_tables_simulated(cfg, rounds)
+    try:
+        from_rounds = compute_qbers(samples, layer)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            qbers_from_counts(tables, layer)
+        return
+    assert dataclasses.asdict(qbers_from_counts(tables, layer)) == dataclasses.asdict(from_rounds)
 
 
 def _sifting_oracle(tables, layer):

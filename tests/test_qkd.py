@@ -67,6 +67,13 @@ class TestLayers:
         with pytest.raises(ValueError):
             LayerSpec("bad", ("A", "B"), ("000", "111"))
 
+    def test_key_map_must_separate_the_kets(self):
+        # key_map_abc sends digits 0 and 2 to the same bit: no key to extract.
+        layer = LayerSpec("bad", ("A", "B", "C"), ("000", "221"))
+        tables = {"Z": np.ones(32), layer.x_setting_label: np.ones(9)}
+        with pytest.raises(ValueError, match="key map gives both kets the same bit"):
+            qbers_from_counts(tables, layer)
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):

@@ -371,3 +371,8 @@ class TestWitnessAndCertification:
     def test_std_must_be_positive(self):
         with pytest.raises(ValueError):
             certify_dimensionality(0.854, 0.0, 0.750)
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf])
+    def test_std_must_be_finite(self, std):
+        with pytest.raises(ValueError, match="positive finite"):
+            certify_dimensionality(0.854, std, 0.750)
