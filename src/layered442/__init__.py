@@ -19,7 +19,6 @@ from .hilbert import (
 )
 from .circuit import (
     CircuitOutcome,
-    ModeLabel,
     apply_white_noise,
     bell_pair,
     circuit_psi442,
@@ -27,7 +26,6 @@ from .circuit import (
     ghz_fuse,
     hwp_matrix,
     make_psi442,
-    qwp_matrix,
 )
 from .witness import (
     Certification,

@@ -8,10 +8,12 @@ mix the polarizations in each path, and a PBS coincidence post-selects the
 terms with equal polarizations.
 
 The hybrid polarization-path levels are encoded as logical digits
+2 * pol + path, with H = 0, V = 1 and upper = 0, lower = 1:
 
     0 = (H, upper)   1 = (H, lower)   2 = (V, upper)   3 = (V, lower)
 
-and a bare polarization qubit uses H = 0, V = 1.
+A bare polarization qubit uses H = 0, V = 1, so a digit of a d-level party
+is V-polarized iff digit >= d // 2.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ import numpy as np
 from .hilbert import DensityOperator, PureState, fidelity_pure
 
 __all__ = [
-    "ModeLabel",
-    "OpticalElement",
     "CircuitOutcome",
     "PostSelectionError",
     "hwp_matrix",
-    "qwp_matrix",
-    "apply_element",
     "bell_pair",
     "ghz_fuse",
     "pbs_coincidence",
     "dimension_double",
-    "doubler_layout",
     "make_psi442",
     "circuit_psi442",
-    "circuit_matches_closed_form",
     "apply_white_noise",
     "visibility_for_fidelity",
     "noisy_psi442",
@@ -48,63 +44,9 @@ __all__ = [
 
 SIGNAL_KETS = ("000", "111", "220", "331")
 
-H, V = "H", "V"
-UPPER, LOWER = "u", "l"
-
-# Digit d: polarization V iff d >= 2, lower path iff d is odd.
-_DIGIT_POL = (H, H, V, V)
-_DIGIT_PATH = (UPPER, LOWER, UPPER, LOWER)
-
 
 class PostSelectionError(ValueError):
     """No amplitude survives a post-selection step."""
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """Hybrid polarization-path label of a four-level photonic mode."""
-
-    polarization: str
-    path: str
-
-    def __post_init__(self):
-        if self.polarization not in (H, V):
-            raise ValueError(f"polarization must be 'H' or 'V', got {self.polarization!r}")
-        if self.path not in (UPPER, LOWER):
-            raise ValueError(f"path must be 'u' or 'l', got {self.path!r}")
-
-    @property
-    def digit(self) -> int:
-        return 2 * (self.polarization == V) + (self.path == LOWER)
-
-    @classmethod
-    def from_digit(cls, digit: int) -> "ModeLabel":
-        if not 0 <= digit <= 3:
-            raise ValueError(f"digit must be in 0..3, got {digit}")
-        return cls(_DIGIT_POL[digit], _DIGIT_PATH[digit])
-
-    def __str__(self):
-        return f"{self.polarization}_{self.path}"
-
-
-@dataclass(frozen=True)
-class OpticalElement:
-    """One element of the simulated optical layout.
-
-    kind is one of HWP, QWP (with ``angle`` in radians), BD or PBS; the
-    element acts on the photon at index ``party``.
-    """
-
-    kind: str
-    party: int
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("HWP", "QWP", "BD", "PBS"):
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        if self.kind in ("HWP", "QWP"):
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} requires a finite angle")
 
 
 @dataclass(frozen=True)
@@ -127,13 +69,6 @@ def hwp_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=np.complex128)
 
 
-def qwp_matrix(theta: float) -> np.ndarray:
-    """Jones matrix of a quarter-wave plate (diag(1, i) in the plate frame)."""
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ np.diag([1.0, 1.0j]) @ rot.T
-
-
 def _apply_local(psi: PureState, party: int, op: np.ndarray) -> PureState:
     """Apply a (possibly rectangular, norm-preserving) operator to one party."""
     if not 0 <= party < psi.num_parties:
@@ -154,35 +89,8 @@ _BD_ISOMETRY = np.zeros((4, 2), dtype=np.complex128)
 _BD_ISOMETRY[0, 0] = 1.0  # H -> (H, upper) = digit 0
 _BD_ISOMETRY[3, 1] = 1.0  # V -> (V, lower) = digit 3
 
-
-def _hwp4(theta: float) -> np.ndarray:
-    """HWP acting on both paths of a four-level hybrid mode."""
-    j = hwp_matrix(theta)
-    m = np.zeros((4, 4), dtype=np.complex128)
-    for path_digits in ((0, 2), (1, 3)):  # (H, V) within upper / lower path
-        for a, da in enumerate(path_digits):
-            for b, db in enumerate(path_digits):
-                m[da, db] = j[a, b]
-    return m
-
-
-def apply_element(psi: PureState, element: OpticalElement) -> PureState:
-    """Apply a unitary optical element; PBS post-selection is separate."""
-    d = psi.dims[element.party]
-    if element.kind == "BD":
-        if d != 2:
-            raise ValueError("BD acts on a bare polarization qubit")
-        return _apply_local(psi, element.party, _BD_ISOMETRY)
-    if element.kind in ("HWP", "QWP"):
-        jones = hwp_matrix(element.angle) if element.kind == "HWP" else qwp_matrix(element.angle)
-        if d == 2:
-            return _apply_local(psi, element.party, jones)
-        if d == 4:
-            if element.kind == "QWP":
-                raise ValueError("QWP on hybrid four-level modes is not part of the layout")
-            return _apply_local(psi, element.party, _hwp4(element.angle))
-        raise ValueError(f"waveplate on party of dimension {d}")
-    raise ValueError("PBS is post-selective; use pbs_coincidence or ghz_fuse")
+# HWP at 22.5 deg on the polarization of both paths (digit = 2 * pol + path).
+_HWP4 = np.kron(hwp_matrix(math.pi / 8), np.eye(2))
 
 
 def bell_pair() -> PureState:
@@ -192,26 +100,19 @@ def bell_pair() -> PureState:
     return PureState((2, 2), amps)
 
 
-def _pol_of_digit(digit: int, dim: int) -> str:
-    if dim == 2:
-        return (H, V)[digit]
-    return _DIGIT_POL[digit]
-
-
 def _keep_equal_polarization(psi: PureState, parties: tuple[int, int]):
-    """Zero out components where the two parties' polarizations differ."""
-    shape = psi.dims
-    amps = psi.amplitudes.reshape(shape).copy()
+    """Zero the terms where the two parties' polarizations differ.
+
+    Returns the kept amplitudes and their weight; raises
+    :class:`PostSelectionError` when nothing survives.
+    """
+    # Each party's polarization, V iff digit >= d // 2, along its own axis.
+    pol = np.meshgrid(*(np.arange(d) >= d // 2 for d in psi.dims), indexing="ij", sparse=True)
     i, j = parties
-    pol_i = np.array([_pol_of_digit(d, shape[i]) for d in range(shape[i])])
-    pol_j = np.array([_pol_of_digit(d, shape[j]) for d in range(shape[j])])
-    mask = pol_i[:, None] == pol_j[None, :]
-    expand = [None] * len(shape)
-    expand[i] = slice(None)
-    expand[j] = slice(None)
-    amps *= mask[tuple(expand)]
-    kept = amps.reshape(-1)
+    kept = (psi.amplitudes.reshape(psi.dims) * (pol[i] == pol[j])).reshape(-1)
     prob = float(np.linalg.norm(kept) ** 2)
+    if prob <= 1e-15:
+        raise PostSelectionError("no amplitude survives PBS coincidence")
     return kept, prob
 
 
@@ -223,8 +124,6 @@ def pbs_coincidence(psi: PureState, parties: tuple[int, int] = (0, 1)) -> Circui
     is the squared norm of the kept component.
     """
     kept, prob = _keep_equal_polarization(psi, parties)
-    if prob <= 1e-15:
-        raise PostSelectionError("no amplitude survives PBS coincidence")
     return CircuitOutcome(PureState(psi.dims, kept / math.sqrt(prob)), prob)
 
 
@@ -243,8 +142,6 @@ def ghz_fuse(pair1: PureState, pair2: PureState) -> CircuitOutcome:
         raise ValueError("ghz_fuse expects two two-photon polarization states")
     joint = PureState(pair1.dims + pair2.dims, np.kron(pair1.amplitudes, pair2.amplitudes))
     kept, prob = _keep_equal_polarization(joint, (1, 2))
-    if prob <= 1e-15:
-        raise PostSelectionError("no amplitude survives PBS coincidence")
     # Project the trigger (axis 2) onto |+>; no cancellation is possible
     # because photon 2 carries the same polarization in every kept term.
     tensor = kept.reshape(2, 2, 2, 2)
@@ -252,19 +149,6 @@ def ghz_fuse(pair1: PureState, pair2: PureState) -> CircuitOutcome:
     amps = heralded.reshape(-1)
     amps /= np.linalg.norm(amps)
     return CircuitOutcome(PureState((2, 2, 2), amps), prob)
-
-
-def doubler_layout(parties: tuple[int, int] = (0, 1)) -> tuple[OpticalElement, ...]:
-    """Element sequence of the dimension-increasing interferometer."""
-    p0, p1 = parties
-    theta = math.pi / 8
-    return (
-        OpticalElement("BD", p0),
-        OpticalElement("BD", p1),
-        OpticalElement("HWP", p0, theta),
-        OpticalElement("HWP", p1, theta),
-        OpticalElement("PBS", p0),
-    )
 
 
 def dimension_double(psi: PureState, parties: tuple[int, int] = (0, 1)) -> CircuitOutcome:
@@ -283,9 +167,9 @@ def dimension_double(psi: PureState, parties: tuple[int, int] = (0, 1)) -> Circu
         if not 0 <= p < psi.num_parties or psi.dims[p] != 2:
             raise ValueError(f"party {p} must be a polarization qubit")
     state = psi
-    layout = doubler_layout(parties)
-    for element in layout[:-1]:
-        state = apply_element(state, element)
+    for op in (_BD_ISOMETRY, _HWP4):
+        for p in parties:
+            state = _apply_local(state, p, op)
     return pbs_coincidence(state, parties)
 
 
@@ -324,12 +208,6 @@ def visibility_for_fidelity(target_fidelity: float, dim: int = 32) -> float:
     if not 0.0 <= target_fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
     return (target_fidelity - 1.0 / dim) / (1.0 - 1.0 / dim)
-
-
-def circuit_matches_closed_form(atol: float = 1e-12) -> bool:
-    """Check that the composed circuit reproduces the closed-form state."""
-    _, layered = circuit_psi442()
-    return bool(np.max(np.abs(layered.state.amplitudes - make_psi442().amplitudes)) < atol)
 
 
 def noisy_psi442(visibility: float) -> DensityOperator:

@@ -292,7 +292,7 @@ def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
         "kets": list(pair),
         "fidelity": {"value": value, "std_dev": std},
         "gme_bound": witness.GME_BOUND,
-        "witness_expectation": witness.ghz_witness_value(min(value, 1.0)),
+        "witness_expectation": witness.ghz_witness_value(min(max(value, 0.0), 1.0)),
         "witnessed": witnessed,
         "reference_fidelity": list(published) if published else None,
     })

@@ -120,10 +120,6 @@ class DensityOperator:
     def num_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class SchmidtData:

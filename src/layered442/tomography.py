@@ -162,11 +162,15 @@ def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
         if token == "Z":
             ops.append(("Z",))
             continue
-        if len(token) != 3 or token[0] not in ("X", "Y"):
-            raise ValueError(f"bad setting token {token!r}")
+        where = f"setting {label!r} token {token!r}"
+        levels = token[1:]
+        if len(token) != 3 or token[0] not in "XY" or not (levels.isascii() and levels.isdigit()):
+            raise ValueError(f"{where} is not Z or X/Y followed by two level digits")
         a, b = int(token[1]), int(token[2])
-        if not (0 <= a < d and 0 <= b < d):
-            raise ValueError(f"levels of {token!r} exceed party dimension {d}")
+        if a == b:
+            raise ValueError(f"{where} needs two distinct levels")
+        if not (a < d and b < d):
+            raise ValueError(f"{where} has levels beyond party dimension {d}")
         ops.append((token[0], a, b))
     return MeasurementSetting(label, tuple(ops))
 

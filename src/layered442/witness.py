@@ -80,10 +80,6 @@ class ElementEstimate:
         if self.bra == self.ket and not -1e-9 <= self.value <= 1 + 1e-9:
             raise ValueError(f"diagonal element {self.value} outside [0, 1]")
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.bra == self.ket
-
     def pair(self) -> tuple[str, str]:
         return tuple(sorted((self.bra, self.ket)))
 

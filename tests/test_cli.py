@@ -1,9 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from layered442.circuit import apply_white_noise
 from layered442.cli import RunConfig, _write_json, main
+from layered442.hilbert import PureState
+from layered442.tomography import records_to_json, simulate_counts, standard_plan
+
+from conftest import flat_index
 
 
 def run(tmp_path, *args):
@@ -33,8 +39,12 @@ MALFORMED_COUNTS = pytest.mark.parametrize("edit, cause", [
     (lambda d: d.__setitem__(3, ["Z", "000", 3]), "count record 3 is not a JSON object"),
     (lambda d: d[5].pop("outcome"), "count record 5 lacks 'outcome'"),
     (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
+    (lambda d: d[0].update(setting="XAB-X01-X01"),
+     "setting 'XAB-X01-X01' token 'XAB' is not Z or X/Y followed by two level digits"),
+    (lambda d: d[0].update(setting="X00-X01-X01"),
+     "setting 'X00-X01-X01' token 'X00' needs two distinct levels"),
 ], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
-        "duplicate"])
+        "duplicate", "letter-levels", "equal-levels"])
 
 # Reads Z, X02-X02-Z and Y02-Y02-Z only.
 SUBSPACE_000_220 = ("subspace", "000", "220")
@@ -284,6 +294,21 @@ class TestSubspace:
                        report="subspace_report.json")
         assert ("subspace (000, 111) has zero population: "
                 "setting 'Z' has no counts of 000 or 111") in err
+
+    def test_estimate_below_zero_not_witnessed(self, tmp_path):
+        # (|000> - |111>)/sqrt(2) has no overlap with the + target; at seed 1
+        # the raw estimate lands just below 0.
+        amps = np.zeros(32)
+        amps[flat_index("000")], amps[flat_index("111")] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        rho = apply_white_noise(PureState((4, 4, 2), amps), 0.95)
+        counts = tmp_path / "minus.json"
+        records_to_json(simulate_counts(rho, standard_plan(), seed=1), counts)
+        code, out = run(tmp_path, "--seed", "1", "subspace", "000", "111", "--counts", str(counts))
+        assert code == 1
+        report = read_json(out / "subspace_report.json")
+        assert report["fidelity"]["value"] < 0
+        assert report["witness_expectation"] == 0.5
+        assert report["witnessed"] is False
 
 
 # Both commands that resample counts; subspace 000 220 does not read X01-X01-X01.

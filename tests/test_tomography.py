@@ -52,11 +52,11 @@ class TestSettings:
             assert parsed == setting
 
     def test_bad_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'X01-X01' does not match 3 parties"):
             parse_setting_label("X01-X01")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'Q01-X01-X01' token 'Q01' is not Z"):
             parse_setting_label("Q01-X01-X01")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'X01-X01-X04' token 'X04' has levels beyond"):
             parse_setting_label("X01-X01-X04")
 
     def test_outcome_orders(self):
