@@ -15,7 +15,6 @@ from .hilbert import (
     partial_trace,
     rank_vector,
     schmidt_decompose,
-    tensor_product,
 )
 from .circuit import (
     CircuitOutcome,

@@ -18,6 +18,7 @@ is V-polarized iff digit >= d // 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,9 +40,18 @@ __all__ = [
     "visibility_for_fidelity",
     "noisy_psi442",
     "psi442_fidelity",
+    "DIMS_442",
+    "ALL_KETS",
     "SIGNAL_KETS",
 ]
 
+#: Party dimensions of the layered state.
+DIMS_442 = (4, 4, 2)
+
+#: All computational kets of the (4, 4, 2) space in flat-index order.
+ALL_KETS = tuple(f"{i}{j}{k}" for i, j, k in itertools.product(*map(range, DIMS_442)))
+
+#: The kets the layered state is an equal superposition of.
 SIGNAL_KETS = ("000", "111", "220", "331")
 
 
@@ -175,11 +185,9 @@ def dimension_double(psi: PureState, parties: tuple[int, int] = (0, 1)) -> Circu
 
 def make_psi442() -> PureState:
     """Closed-form layered state (|000> + |111> + |220> + |331>)/2, dims (4, 4, 2)."""
-    amps = np.zeros(32, dtype=np.complex128)
-    for ket in SIGNAL_KETS:
-        i, j, k = (int(c) for c in ket)
-        amps[(i * 4 + j) * 2 + k] = 0.5
-    return PureState((4, 4, 2), amps)
+    amps = np.zeros(len(ALL_KETS), dtype=np.complex128)
+    amps[[ALL_KETS.index(ket) for ket in SIGNAL_KETS]] = 0.5
+    return PureState(DIMS_442, amps)
 
 
 def circuit_psi442() -> tuple[CircuitOutcome, CircuitOutcome]:
@@ -198,7 +206,7 @@ def apply_white_noise(psi: PureState, visibility: float) -> DensityOperator:
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    d = psi.dim
+    d = psi.amplitudes.size
     mat = v * np.outer(psi.amplitudes, psi.amplitudes.conj()) + (1 - v) * np.eye(d) / d
     return DensityOperator(psi.dims, mat)
 

@@ -2,9 +2,9 @@
 
 Subcommands: gen-state, simulate-counts, estimate, witness, subspace, qkd,
 fmax.  A JSON config file supplies defaults; command-line flags win over
-file values.  Every report embeds the config (including the seed), and
-outputs are byte-identical for identical configs apart from the timestamp
-header, which ``--no-timestamp`` suppresses.
+file values.  Every report embeds the config (including the seed) but not
+the output directory, so outputs are byte-identical for identical configs
+apart from the timestamp header, which ``--no-timestamp`` suppresses.
 
 Exit codes: 0 success, 1 certification negative (output still valid),
 2 usage or I/O error, 3 internal consistency failure.
@@ -107,7 +107,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _write_json(cfg: RunConfig, path: Path, payload: dict):
     payload = dict(payload)
-    payload["config"] = asdict(cfg)
+    payload["config"] = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
     if not cfg.no_timestamp:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     # Serialised before the file opens: a NaN or infinity raises and leaves no file.
@@ -133,26 +133,12 @@ def _fmt(value):
     return value
 
 
-def _element_dict(e: witness.ElementEstimate) -> dict:
-    return {
-        "bra": e.bra,
-        "ket": e.ket,
-        "value": e.value,
-        "std_dev": e.std_dev,
-        "low_stats": e.low_stats,
-    }
-
-
-def _noisy_state(cfg: RunConfig):
-    return circuit.noisy_psi442(cfg.visibility)
-
-
 def _records(cfg: RunConfig, counts_path) -> list[tomography.CountRecord]:
     """Count records from a counts file, or simulated with the config."""
     if counts_path:
         return tomography.records_from_json(counts_path)
     plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
-    return tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
+    return tomography.simulate_counts(circuit.noisy_psi442(cfg.visibility), plan, cfg.seed)
 
 
 def _monte_carlo(cfg: RunConfig, counts_path) -> tomography.MonteCarloResult:
@@ -174,7 +160,7 @@ def cmd_gen_state(cfg: RunConfig) -> int:
         print(f"error: circuit and closed-form states differ by {mismatch:.3e}", file=sys.stderr)
         return EXIT_INTERNAL
     ranks = rank_vector(closed)
-    noisy = _noisy_state(cfg)
+    noisy = circuit.noisy_psi442(cfg.visibility)
     out = _out_dir(cfg)
     _write_json(cfg, out / "state.json", {
         "dims": list(closed.dims),
@@ -197,7 +183,7 @@ def cmd_gen_state(cfg: RunConfig) -> int:
 
 def cmd_simulate_counts(cfg: RunConfig) -> int:
     plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
-    records = tomography.simulate_counts(_noisy_state(cfg), plan, cfg.seed)
+    records = tomography.simulate_counts(circuit.noisy_psi442(cfg.visibility), plan, cfg.seed)
     out = _out_dir(cfg)
     tomography.records_to_json(records, out / "counts.json")
     _write_json(cfg, out / "counts.meta.json", {
@@ -251,8 +237,8 @@ def cmd_witness(cfg: RunConfig, counts_path, use_fixture: bool) -> int:
     out = _out_dir(cfg)
     _write_json(cfg, out / "witness_report.json", {
         "elements": {
-            "diagonal": [_element_dict(e) for e in diagonals],
-            "offdiagonal": [_element_dict(e) for e in offdiagonals],
+            "diagonal": [dict(vars(e)) for e in diagonals],
+            "offdiagonal": [dict(vars(e)) for e in offdiagonals],
         },
         "fidelity": {"value": cert.f_exp, "std_dev": cert.std_dev},
         "bound": cert.bound,
@@ -312,7 +298,7 @@ def _qkd_rows_fixture():
 
 def _qkd_tables_simulated(cfg: RunConfig, rounds: int) -> dict:
     """Count tables of simulated rounds; each basis is drawn once and binned as soon as drawn."""
-    rho = _noisy_state(cfg)
+    rho = circuit.noisy_psi442(cfg.visibility)
     tables = qkd.round_tables({"Z": qkd.sample_z_rounds(rho, rounds, cfg.seed)})
     for layer in qkd.LAYERS:
         tables.update(qkd.round_tables({"X": qkd.sample_x_rounds(rho, layer, rounds, cfg.seed)},
@@ -429,17 +415,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
 
     p = sub.add_parser("witness", help="dimensionality witness report")
-    p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
-    p.add_argument("--fixture", action="store_true", help="use the published element record")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
+    source.add_argument("--fixture", action="store_true", help="use the published element record")
 
     p = sub.add_parser("subspace", help="two-level subspace GHZ fidelity")
     p.add_argument("kets", nargs=2, help="two signal kets, e.g. 000 111")
-    p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
-    p.add_argument("--fixture", action="store_true", help="use the published fidelities")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
+    source.add_argument("--fixture", action="store_true", help="use the published fidelities")
 
     p = sub.add_parser("qkd", help="per-layer QBERs and key rates")
-    p.add_argument("--counts", help="counts JSON")
-    p.add_argument("--fixture", action="store_true", help="use the published QKD table")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--counts", help="counts JSON")
+    source.add_argument("--fixture", action="store_true", help="use the published QKD table")
     p.add_argument("--rounds", type=int, default=100000, help="simulated rounds per basis")
 
     p = sub.add_parser("fmax", help="dimensionality class bound (and optional search)")

@@ -15,17 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DimVector",
     "PureState",
     "DensityOperator",
     "SchmidtData",
     "as_dim_vector",
     "basis_state",
     "haar_random_state",
-    "tensor_product",
     "partial_trace",
     "schmidt_decompose",
-    "schmidt_reconstruct",
     "rank_vector",
     "fidelity_pure",
 ]
@@ -38,11 +35,8 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 EIG_TOL = 1e-10
 
-#: Ordered per-party dimensions, e.g. ``(4, 4, 2)``.
-DimVector = tuple[int, ...]
 
-
-def as_dim_vector(dims) -> DimVector:
+def as_dim_vector(dims) -> tuple[int, ...]:
     """Validate and normalize a dimension vector (every entry >= 1)."""
     out = tuple(int(d) for d in dims)
     if len(out) == 0:
@@ -52,7 +46,7 @@ def as_dim_vector(dims) -> DimVector:
     return out
 
 
-def _total_dim(dims: DimVector) -> int:
+def _total_dim(dims: tuple[int, ...]) -> int:
     total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise ValueError(f"total dimension {total} exceeds supported maximum {MAX_TOTAL_DIM}")
@@ -63,7 +57,7 @@ def _total_dim(dims: DimVector) -> int:
 class PureState:
     """Normalized state vector over a multipartite Hilbert space."""
 
-    dims: DimVector
+    dims: tuple[int, ...]
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -82,10 +76,6 @@ class PureState:
     def num_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def density(self) -> "DensityOperator":
         """Projector |psi><psi| as a density operator."""
         return DensityOperator(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -95,7 +85,7 @@ class PureState:
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator."""
 
-    dims: DimVector
+    dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -125,17 +115,13 @@ class DensityOperator:
 class SchmidtData:
     """Schmidt decomposition of a pure state across a bipartition.
 
-    ``cut`` holds the party indices on the left side; coefficients are
-    non-negative and sorted descending with sum of squares 1.  Column i of
-    ``left_vectors``/``right_vectors`` is the i-th Schmidt vector on the
-    respective side.
+    Coefficients are non-negative and sorted descending with sum of
+    squares 1.  Column i of ``left_vectors`` is the i-th Schmidt vector on
+    the side of the cut.
     """
 
-    cut: tuple[int, ...]
-    dims: DimVector
     coefficients: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
-    right_vectors: np.ndarray = field(repr=False)
 
 
 def basis_state(dims, digits) -> PureState:
@@ -155,19 +141,6 @@ def haar_random_state(dims, rng: np.random.Generator) -> PureState:
     n = _total_dim(dims)
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     return PureState(dims, vec / np.linalg.norm(vec))
-
-
-def tensor_product(a, b):
-    """Kronecker product of two states or two density operators.
-
-    The party lists are concatenated, with ``a`` holding the more
-    significant digits.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(a.dims + b.dims, np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor_product requires two PureStates or two DensityOperators")
 
 
 def _check_parties(parties, num_parties: int) -> tuple[int, ...]:
@@ -216,32 +189,16 @@ def schmidt_decompose(psi: PureState, cut) -> SchmidtData:
     if len(cut) == psi.num_parties:
         raise ValueError("cut must be a proper subset of the parties")
     mat = _cut_matrix(psi, cut)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtData(cut, psi.dims, s, u, vh.T)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return SchmidtData(s, u)
 
 
-def schmidt_reconstruct(data: SchmidtData) -> PureState:
-    """Rebuild the state from its Schmidt data (inverse of the cut permutation)."""
-    mat = (data.left_vectors * data.coefficients) @ data.right_vectors.T
-    n = len(data.dims)
-    rest = tuple(p for p in range(n) if p not in data.cut)
-    perm = data.cut + rest
-    shaped = mat.reshape(tuple(data.dims[p] for p in perm))
-    inv = np.argsort(perm)
-    return PureState(data.dims, np.transpose(shaped, inv).reshape(-1))
-
-
-def rank_vector(psi: PureState, tol: float | None = None) -> DimVector:
-    """Per-party Schmidt ranks (counts of coefficients above tolerance).
-
-    The default tolerance is 1e-8 relative to the largest coefficient of
-    each cut.
-    """
+def rank_vector(psi: PureState) -> tuple[int, ...]:
+    """Per-party Schmidt ranks: coefficients above 1e-8 times the largest of each cut."""
     ranks = []
     for p in range(psi.num_parties):
         s = schmidt_decompose(psi, (p,)).coefficients
-        cutoff = tol if tol is not None else 1e-8 * (s[0] if s.size else 1.0)
-        ranks.append(int(np.sum(s > cutoff)))
+        ranks.append(int(np.sum(s > 1e-8 * s[0])))
     return tuple(ranks)
 
 

@@ -10,10 +10,10 @@ parities on the layer's two-level subspaces.
 
 The asymptotic secret key per post-selected round uses the one-way bound
 
-    r = 1 - h(QBER_X) - max_i h(QBER_Z(ref, i))
+    r = 1 - h(QBER_X) - max_i h(QBER_Z(A, i))
 
-with h the binary entropy and the max running over the reference party's
-pairings (the single pair itself for two-party layers).
+with h the binary entropy and the max running over party A's pairings
+(the single pair itself for two-party layers).
 """
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import DIMS_442
 from .hilbert import DensityOperator
-from .tomography import DIMS_442, born_probabilities, parse_setting_label, setting_outcomes
+from .tomography import born_probabilities, parse_setting_label, setting_outcomes
 
 __all__ = [
     "LayerSpec",
@@ -49,6 +50,10 @@ PARTY_NAMES = ("A", "B", "C")
 # RNG stream tags so Z and per-layer X samples never collide.
 _Z_STREAM = 1
 _X_STREAM_BASE = 2
+
+#: Digits of every computational outcome, one row each, in ``ALL_KETS`` order.
+_Z_DIGITS = np.column_stack(np.unravel_index(np.arange(math.prod(DIMS_442)), DIMS_442))
+_Z_DIGITS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ LAYERS = (
 class QberReport:
     """Per-layer error rates with binomial errors and sifting bookkeeping.
 
-    The pairwise fields are None for two-party layers; qber_z_bc is kept so
-    the key-rate bound can anchor on any reference party.
+    The pairwise fields are None for two-party layers.  The key-rate bound
+    reads only A's pairings; qber_z_bc completes the three-party picture.
     """
 
     layer_id: str
@@ -122,15 +127,6 @@ class QberReport:
             val = getattr(self, name)
             if val is not None and not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} = {val} outside [0, 1]")
-
-    def pairwise(self) -> dict:
-        """Available pairwise Z error rates as {"AB": (value, std), ...}."""
-        out = {}
-        for pair in ("ab", "ac", "bc"):
-            val = getattr(self, f"qber_z_{pair}")
-            if val is not None:
-                out[pair.upper()] = (val, getattr(self, f"qber_z_{pair}_std"))
-        return out
 
 
 @dataclass(frozen=True)
@@ -176,14 +172,6 @@ def _binomial_std(q: float, n: int) -> float:
 
 
 @functools.cache
-def _z_digits(dims) -> np.ndarray:
-    """Read-only digits of every computational outcome, one row each, in ``ALL_KETS`` order."""
-    digits = np.column_stack(np.unravel_index(np.arange(math.prod(dims)), dims))
-    digits.flags.writeable = False
-    return digits
-
-
-@functools.cache
 def _layer_weights(layer: LayerSpec) -> tuple:
     """Read-only 0/1 weight rows that pick a layer's sifted and erroneous outcomes.
 
@@ -197,7 +185,7 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     :func:`key_map_ab` for two-party ones) differ; an X outcome is an error
     when an odd number of participants read ``-``.
     """
-    digits = _z_digits(DIMS_442)[:, layer.party_indices]
+    digits = _Z_DIGITS[:, layer.party_indices]
     k0, k1 = np.array(layer.digit_pairs).T
     key_map = key_map_abc if layer.is_tripartite else key_map_ab
     if any(key_map(a) == key_map(b) for a, b in layer.digit_pairs):
@@ -208,7 +196,7 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     pair_keys = tuple((layer.participants[i] + layer.participants[j]).lower() for i, j in pairs)
     z_rows = [sifted, (bits != bits[:, :1]).any(axis=1)]
     z_rows += [bits[:, i] != bits[:, j] for i, j in pairs]
-    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label), DIMS_442)
+    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label))
     x_rows = [[o != "rest" for o in x_outcomes],
               [o != "rest" and sum(o[p] == "-" for p in layer.party_indices) % 2 == 1
                for o in x_outcomes]]
@@ -316,24 +304,21 @@ def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
     return _count_qbers(count_tables["Z"], count_tables[x_label], layer)
 
 
-def asymptotic_key_rate(report: QberReport, reference: str = "A") -> LayerKeyReport:
+def asymptotic_key_rate(report: QberReport) -> LayerKeyReport:
     """Lower-bound key per round from a QBER report, clamped at zero.
 
-    The entropy max runs over the reference party's pairings (the layer's
-    own Z rate for two-party layers).  The pessimistic rate plugs in
-    value + 1 sigma for every error rate, capped at 1/2 where the rate
-    vanishes anyway.
+    The entropy max runs over A's pairings, AB then AC (the layer's own Z
+    rate for two-party layers).  The pessimistic rate plugs in value + 1
+    sigma for every error rate, capped at 1/2 where the rate vanishes
+    anyway.
     """
 
     def rate(qx, pair_qs):
         return max(0.0, 1.0 - binary_entropy(qx) - max(binary_entropy(q) for q in pair_qs))
 
-    pairwise = report.pairwise()
-    if pairwise:
-        pairs = [v for k, v in pairwise.items() if reference in k]
-        if not pairs:
-            raise ValueError(f"no pairwise error rates involve party {reference!r}")
-    else:
+    pairs = [(q, s) for q, s in ((report.qber_z_ab, report.qber_z_ab_std),
+                                 (report.qber_z_ac, report.qber_z_ac_std)) if q is not None]
+    if not pairs:
         pairs = [(report.qber_z, report.qber_z_std)]
 
     mean = rate(report.qber_x, [q for q, _ in pairs])
@@ -358,13 +343,18 @@ def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: 
 
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:
     """Sample (n, 3) computational outcome digits from the state."""
-    return _z_digits(rho.dims).take(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), axis=0)
+    return _Z_DIGITS.take(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), axis=0)
 
 
 def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -> np.ndarray:
-    """Sample n outcome indices of the layer's X setting (the residual ``rest`` last)."""
-    layer_index = LAYERS.index(layer) if layer in LAYERS else 97
-    return _draw_outcomes(rho, layer.x_setting_label, n, seed, _X_STREAM_BASE + layer_index)
+    """Sample n outcome indices of the layer's X setting (the residual ``rest`` last).
+
+    Each layer of ``LAYERS`` draws from its own stream; any other layer is rejected.
+    """
+    if layer not in LAYERS:
+        raise ValueError(f"layer {layer.layer_id!r} is not one of the standard LAYERS")
+    return _draw_outcomes(rho, layer.x_setting_label, n, seed,
+                          _X_STREAM_BASE + LAYERS.index(layer))
 
 
 def empirical_mutual_information(x, y) -> float:

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import ALL_KETS, DIMS_442
 from .hilbert import DensityOperator
 from .witness import (
-    ALL_KETS,
     OFFDIAG_PAIRS,
     ElementEstimate,
     _checked_diagonal_sum,
@@ -49,7 +49,6 @@ __all__ = [
     "ExperimentPlan",
     "MonteCarloResult",
     "MissingSettingError",
-    "computational_setting",
     "parse_setting_label",
     "setting_outcomes",
     "born_probabilities",
@@ -64,8 +63,6 @@ __all__ = [
     "count_tables",
     "required_settings",
 ]
-
-DIMS_442 = (4, 4, 2)
 
 # Settings with fewer total counts than this are flagged low-statistics.
 LOW_STATS_THRESHOLD = 50
@@ -93,20 +90,14 @@ class MissingSettingError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One projective configuration: per-party ("Z",) or (axis, a, b)."""
+    """One projective configuration: per-party ("Z",) or (axis, a, b).
+
+    Built by :func:`parse_setting_label`, which checks every party's
+    axis and level pair against ``DIMS_442``.
+    """
 
     label: str
     party_ops: tuple[tuple, ...]
-
-    def __post_init__(self):
-        for op in self.party_ops:
-            if op == ("Z",):
-                continue
-            axis, a, b = op
-            if axis not in ("X", "Y"):
-                raise ValueError(f"unknown axis {axis!r}")
-            if a == b or a < 0 or b < 0:
-                raise ValueError(f"invalid level pair ({a}, {b})")
 
 
 @dataclass(frozen=True)
@@ -145,20 +136,16 @@ class ExperimentPlan:
             raise ValueError("rate and integration time must be positive and finite")
 
 
-def computational_setting(dims=DIMS_442) -> MeasurementSetting:
-    return MeasurementSetting(Z_LABEL, tuple(("Z",) for _ in dims))
-
-
 @functools.cache
-def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
-    """Parse a label such as ``Z`` or ``X01-Y01-Z`` into a setting."""
+def parse_setting_label(label: str) -> MeasurementSetting:
+    """Parse a label such as ``Z`` or ``X01-Y01-Z`` into a setting on ``DIMS_442``."""
     if label == Z_LABEL:
-        return computational_setting(dims)
+        return MeasurementSetting(Z_LABEL, (("Z",),) * len(DIMS_442))
     tokens = label.split("-")
-    if len(tokens) != len(dims):
-        raise ValueError(f"setting {label!r} does not match {len(dims)} parties")
+    if len(tokens) != len(DIMS_442):
+        raise ValueError(f"setting {label!r} does not match {len(DIMS_442)} parties")
     ops = []
-    for token, d in zip(tokens, dims):
+    for token, d in zip(tokens, DIMS_442):
         if token == "Z":
             ops.append(("Z",))
             continue
@@ -176,14 +163,10 @@ def parse_setting_label(label: str, dims=DIMS_442) -> MeasurementSetting:
 
 
 @functools.cache
-def setting_outcomes(setting: MeasurementSetting, dims=DIMS_442) -> tuple[str, ...]:
-    """Outcome labels in canonical order (residual last for sigma settings).
-
-    Callers pass ``dims`` positionally: the cache keys ``f(s)`` and
-    ``f(s, dims)`` apart, which would build every order twice.
-    """
+def setting_outcomes(setting: MeasurementSetting) -> tuple[str, ...]:
+    """Outcome labels in canonical order (residual last for sigma settings)."""
     per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
-                 for op, d in zip(setting.party_ops, dims)]
+                 for op, d in zip(setting.party_ops, DIMS_442)]
     labels = tuple("".join(chars) for chars in itertools.product(*per_party))
     return labels if setting.label == Z_LABEL else labels + ("rest",)
 
@@ -201,15 +184,12 @@ def _party_kets(op, d: int) -> np.ndarray:
 
 def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> dict[str, float]:
     """Outcome probabilities of a setting on ``rho`` (Born rule)."""
-    dims = rho.dims
-    if len(setting.party_ops) != len(dims):
-        raise ValueError(f"setting {setting.label!r} does not match {len(dims)} parties")
-    for op, d in zip(setting.party_ops, dims):
-        if op != ("Z",) and max(op[1], op[2]) >= d:
-            raise ValueError(f"setting {setting.label!r} exceeds party dimension {d}")
-    kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in zip(setting.party_ops, dims)])
+    if rho.dims != DIMS_442:
+        raise ValueError(f"state dims {rho.dims} are not {DIMS_442}")
+    ops = zip(setting.party_ops, DIMS_442)
+    kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in ops])
     probs = np.einsum("nj,jk,nk->n", kets.conj(), rho.matrix, kets).real.clip(0.0).tolist()
-    labels = setting_outcomes(setting, dims)
+    labels = setting_outcomes(setting)
     if labels[-1] == "rest":
         probs.append(max(0.0, 1.0 - sum(probs)))
     return dict(zip(labels, probs))
@@ -225,10 +205,10 @@ def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> dic
 _CORRELATOR_AXES = {3: ("XXX", "YYX", "YXY", "XYY"), 2: ("XX", "YY")}
 
 
-def _outcome_values(tokens, digits, dims=DIMS_442) -> np.ndarray:
+def _outcome_values(tokens, digits) -> np.ndarray:
     """Eigenvalue products per outcome; Z parties pinned to ``digits``, residual 0."""
     factors = [np.eye(d)[int(k)] if token == "Z" else np.array([1.0, -1.0])
-               for token, k, d in zip(tokens, digits, dims)]
+               for token, k, d in zip(tokens, digits, DIMS_442)]
     return np.append(functools.reduce(np.kron, factors), 0.0)
 
 
@@ -346,7 +326,7 @@ def count_tables(records) -> dict[str, np.ndarray]:
         table[r.outcome] = float(r.counts)
     tables = {}
     for label, table in by_setting.items():
-        order = setting_outcomes(parse_setting_label(label), DIMS_442)
+        order = setting_outcomes(parse_setting_label(label))
         unknown = set(table) - set(order)
         if unknown:
             raise ValueError(f"unknown outcomes {sorted(unknown)} for setting {label!r}")

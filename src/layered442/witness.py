@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SIGNAL_KETS
+from .circuit import ALL_KETS, SIGNAL_KETS
 from .hilbert import PureState, haar_random_state, schmidt_decompose
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "certify_dimensionality",
     "search_class_overlap",
 ]
-
-#: All computational kets of the (4, 4, 2) space in flat-index order.
-ALL_KETS = tuple(f"{i}{j}{k}" for i in range(4) for j in range(4) for k in range(2))
 
 #: The six unique coherence pairs of the layered target, bra < ket.
 OFFDIAG_PAIRS = tuple(itertools.combinations(SIGNAL_KETS, 2))
@@ -79,9 +76,6 @@ class ElementEstimate:
             raise ValueError("std_dev must be non-negative")
         if self.bra == self.ket and not -1e-9 <= self.value <= 1 + 1e-9:
             raise ValueError(f"diagonal element {self.value} outside [0, 1]")
-
-    def pair(self) -> tuple[str, str]:
-        return tuple(sorted((self.bra, self.ket)))
 
 
 @dataclass(frozen=True)
@@ -155,29 +149,21 @@ def fmax_class_bound(target: PureState, cls: RankVectorClass) -> float:
     return best
 
 
-def _index_elements(elements) -> dict:
-    table = {}
-    for e in elements:
-        table[e.pair()] = e
-    return table
-
-
 def fidelity_from_elements(diagonals, offdiagonals) -> float:
     """Assemble the target fidelity from measured matrix elements.
 
     Requires all 32 diagonal estimates and the 6 unique real off-diagonal
     parts; the arithmetic is :func:`fidelity_from_arrays`.
     """
-    diag = _index_elements(diagonals)
+    values = {tuple(sorted((e.bra, e.ket))): e.value for e in (*diagonals, *offdiagonals)}
     for ket in ALL_KETS:
-        if (ket, ket) not in diag:
+        if (ket, ket) not in values:
             raise ValueError(f"missing diagonal element |{ket}><{ket}|")
-    off = _index_elements(offdiagonals)
     for pair in OFFDIAG_PAIRS:
-        if pair not in off:
+        if pair not in values:
             raise ValueError(f"missing off-diagonal element |{pair[0]}><{pair[1]}|")
-    return fidelity_from_arrays([diag[(k, k)].value for k in ALL_KETS],
-                                [off[p].value for p in OFFDIAG_PAIRS])
+    return fidelity_from_arrays([values[(k, k)] for k in ALL_KETS],
+                                [values[p] for p in OFFDIAG_PAIRS])
 
 
 def _ordered_sum(values: np.ndarray):
@@ -247,22 +233,19 @@ def offdiag_from_pair_correlators(exp_xx, exp_yy):
     return (exp_xx - exp_yy) / 4.0
 
 
-def subspace_fidelity(diag_ijk, diag_lmn, offdiag, renormalize: bool = True):
+def subspace_fidelity(diag_ijk, diag_lmn, offdiag):
     """Fidelity with (|ijk> + |lmn>)/sqrt(2) inside its two-level subspace.
 
-    With ``renormalize`` the elements are divided by the subspace
-    population so that the result refers to the state conditioned on the
-    subspace.  Array arguments broadcast, giving one fidelity per entry
-    (e.g. per Monte Carlo trial) and nan where the population is zero;
-    scalar arguments of zero population raise.
+    The elements are divided by the subspace population, so the result
+    refers to the state conditioned on the subspace.  Array arguments
+    broadcast, giving one fidelity per entry (e.g. per Monte Carlo trial)
+    and nan where the population is zero; scalar arguments of zero
+    population raise.
     """
     pop = np.asarray(diag_ijk + diag_lmn)
-    scale = 1.0
-    if renormalize:
-        if pop.ndim == 0 and pop <= 0:
-            raise ValueError("subspace population is zero, cannot renormalize")
-        scale = np.where(pop > 0, pop, np.nan)
-    fidelity = (pop + 2.0 * offdiag) / (2.0 * scale)
+    if pop.ndim == 0 and pop <= 0:
+        raise ValueError("subspace population is zero, cannot renormalize")
+    fidelity = (pop + 2.0 * offdiag) / (2.0 * np.where(pop > 0, pop, np.nan))
     return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 

@@ -143,7 +143,7 @@ def test_criterion_6_subspace_witnesses():
         exact_records(make_psi442().density(), standard_plan(RATE, TIME))
     )
     d = {e.bra: e.value for e in ideal_diag}
-    o = {e.pair(): e.value for e in ideal_off}
+    o = {(e.bra, e.ket): e.value for e in ideal_off}
     ideal = {
         pair: (d[pair[0]] + d[pair[1]] + 2 * o[pair]) / (2 * (d[pair[0]] + d[pair[1]]))
         for pair in OFFDIAG_PAIRS

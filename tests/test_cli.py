@@ -86,6 +86,16 @@ def rejected(tmp_path, capsys, counts, *command, report):
     return capsys.readouterr().err
 
 
+def assert_counts_and_fixture_refused(tmp_path, capsys, *command):
+    """Usage error (exit 2) naming both flags; nothing runs, so the missing file is never read."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *command, "--counts", str(tmp_path / "nonexistent.json"), "--fixture")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--counts" in err and "--fixture" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGenState:
     def test_default_run(self, tmp_path):
         code, out = run(tmp_path, "gen-state")
@@ -110,6 +120,14 @@ class TestGenState:
         blocker.write_text("not a directory")
         code = main(["--out", str(blocker / "sub"), "gen-state"])
         assert code == 2
+
+    def test_reports_do_not_record_out(self, tmp_path):
+        runs = [run(tmp_path / side, "gen-state") for side in ("first", "second")]
+        assert [code for code, _ in runs] == [0, 0]
+        (_, first), (_, second) = runs
+        for report in ("state.json", "gen_state_report.json"):
+            assert (first / report).read_bytes() == (second / report).read_bytes()
+            assert "out_dir" not in read_json(first / report)["config"]
 
 
 class TestSimulateAndEstimate:
@@ -213,11 +231,11 @@ class TestWitness:
     def test_deterministic_outputs(self, tmp_path):
         _, out1 = run(tmp_path / "a", "--trials", "100", "witness")
         _, out2 = run(tmp_path / "b", "--trials", "100", "witness")
-        a = read_json(out1 / "witness_report.json")
-        b = read_json(out2 / "witness_report.json")
-        a["config"].pop("out_dir")
-        b["config"].pop("out_dir")
-        assert a == b
+        assert (out1 / "witness_report.json").read_bytes() == \
+            (out2 / "witness_report.json").read_bytes()
+
+    def test_counts_and_fixture_exclusive(self, tmp_path, capsys):
+        assert_counts_and_fixture_refused(tmp_path, capsys, "witness")
 
     def test_byte_identical_reruns(self, tmp_path):
         code, out = run(tmp_path, "--trials", "100", "witness")
@@ -310,6 +328,9 @@ class TestSubspace:
         assert report["witness_expectation"] == 0.5
         assert report["witnessed"] is False
 
+    def test_counts_and_fixture_exclusive(self, tmp_path, capsys):
+        assert_counts_and_fixture_refused(tmp_path, capsys, "subspace", "000", "111")
+
 
 # Both commands that resample counts; subspace 000 220 does not read X01-X01-X01.
 RESAMPLING_COMMANDS = pytest.mark.parametrize("command, report", [
@@ -369,6 +390,9 @@ class TestQkd:
         assert code == 2
         assert "--rounds must be >= 1" in capsys.readouterr().err
         assert not (out / "qkd_report.csv").exists()
+
+    def test_counts_and_fixture_exclusive(self, tmp_path, capsys):
+        assert_counts_and_fixture_refused(tmp_path, capsys, "qkd")
 
 
 class TestFmax:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -17,8 +16,6 @@ from layered442.hilbert import (
     partial_trace,
     rank_vector,
     schmidt_decompose,
-    schmidt_reconstruct,
-    tensor_product,
 )
 
 from conftest import random_density
@@ -56,37 +53,6 @@ class TestConstruction:
         psi = basis_state((2, 2), (0, 0))
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
-
-
-class TestTensorProduct:
-    def test_basis_case(self):
-        out = tensor_product(basis_state((2,), (0,)), basis_state((2,), (0,)))
-        assert out.dims == (2, 2)
-        assert out.amplitudes[0] == 1.0
-        assert np.all(out.amplitudes[1:] == 0)
-
-    def test_linearity(self):
-        plus = PureState((2,), np.array([1, 1]) / math.sqrt(2))
-        out = tensor_product(plus, basis_state((2,), (0,)))
-        expect = np.zeros(4)
-        expect[0] = expect[2] = 1 / math.sqrt(2)  # |00> and |10>
-        assert np.allclose(out.amplitudes, expect)
-
-    def test_norm_multiplicative(self):
-        bell = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
-        out = tensor_product(bell, bell)
-        assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-12
-
-    def test_density_kron(self, rng):
-        a = random_density((2,), rng)
-        b = random_density((3,), rng)
-        out = tensor_product(a, b)
-        assert out.dims == (2, 3)
-        assert np.allclose(out.matrix, np.kron(a.matrix, b.matrix))
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            tensor_product(basis_state((2,), (0,)), random_density((2,), np.random.default_rng(0)))
 
 
 class TestPartialTrace:
@@ -127,6 +93,14 @@ class TestPartialTrace:
             partial_trace(rho, ())
 
 
+def assert_reduced_state_rebuilt(psi: PureState, cut):
+    """U diag(s^2) U^dagger from the Schmidt data equals the partial_trace oracle."""
+    data = schmidt_decompose(psi, cut)
+    u = data.left_vectors
+    rebuilt = (u * data.coefficients**2) @ u.conj().T
+    assert np.max(np.abs(rebuilt - partial_trace(psi.density(), cut).matrix)) < 1e-10
+
+
 class TestSchmidt:
     def test_psi442_cut_c(self):
         data = schmidt_decompose(make_psi442(), (2,))
@@ -148,18 +122,16 @@ class TestSchmidt:
         assert abs(np.sum(data.coefficients**2) - 1) < 1e-10
 
     def test_reconstruction_random_states(self, rng):
-        # 1000 random pure states, dims up to (4, 4, 2)
+        # 1000 random pure states, dims up to (4, 4, 2), every single-party cut
         for dims in [(2, 2), (2, 3), (4, 4, 2), (2, 2, 2)]:
             for _ in range(250):
                 psi = haar_random_state(dims, rng)
-                cut = (0,) if len(dims) == 2 else (1,)
-                rec = schmidt_reconstruct(schmidt_decompose(psi, cut))
-                assert np.max(np.abs(rec.amplitudes - psi.amplitudes)) < 1e-10
+                for party in range(len(dims)):
+                    assert_reduced_state_rebuilt(psi, (party,))
 
     def test_reconstruction_middle_cut(self, rng):
-        psi = haar_random_state((4, 4, 2), rng)
-        rec = schmidt_reconstruct(schmidt_decompose(psi, (1, 2)))
-        assert np.max(np.abs(rec.amplitudes - psi.amplitudes)) < 1e-10
+        for _ in range(50):
+            assert_reduced_state_rebuilt(haar_random_state((4, 4, 2), rng), (1, 2))
 
     def test_improper_cut_rejected(self):
         psi = make_psi442()
@@ -213,12 +185,12 @@ def test_local_unitaries_keep_a_truncated_rank(seed, party, data):
     dims = (4, 4, 2)
     cap = data.draw(st.integers(1, dims[party] - 1), label="cap")
     rng = np.random.default_rng(seed)
-    schmidt = schmidt_decompose(haar_random_state(dims, rng), (party,))
-    coeff = np.where(np.arange(schmidt.coefficients.size) < cap, schmidt.coefficients, 0.0)
-    truncated = schmidt_reconstruct(
-        dataclasses.replace(schmidt, coefficients=coeff / np.linalg.norm(coeff)))
+    amps = np.moveaxis(haar_random_state(dims, rng).amplitudes.reshape(dims), party, 0)
+    u, s, vh = np.linalg.svd(amps.reshape(dims[party], -1), full_matrices=False)
+    s[cap:] = 0.0
+    truncated = np.moveaxis(((u * s) @ vh).reshape(amps.shape), 0, party).reshape(-1)
     local = functools.reduce(np.kron, [ginibre_unitary(d, rng) for d in dims])
-    moved = PureState(dims, local @ truncated.amplitudes)
+    moved = PureState(dims, local @ truncated / np.linalg.norm(truncated))
     assert np.all(schmidt_decompose(moved, (party,)).coefficients[cap:] <= 1e-12)
 
 

@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from layered442 import qkd
 from layered442.circuit import make_psi442, noisy_psi442
 from layered442.fixtures import load_measured_qkd_rows, qber_report_from_row
 from layered442.qkd import (
@@ -142,15 +143,13 @@ class TestKeyRate:
             assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_reference_party_selects_pairs(self):
-        report = QberReport("ABC-layer-0", 0.0, 0.0, 0.0, 0.0,
-                            qber_z_ab=0.0, qber_z_ab_std=0.0,
-                            qber_z_ac=0.3, qber_z_ac_std=0.0,
-                            qber_z_bc=0.0, qber_z_bc_std=0.0)
-        rate_a = asymptotic_key_rate(report, reference="A")
-        rate_b = asymptotic_key_rate(report, reference="B")
-        assert rate_a.rate_mean < rate_b.rate_mean  # B avoids the bad AC pair
-        with pytest.raises(ValueError):
-            asymptotic_key_rate(report, reference="Q")
+        # A is the reference: a bad AC pair costs key, a bad BC pair does not
+        pairs = dict(qber_z_ab=0.0, qber_z_ab_std=0.0, qber_z_ac=0.0, qber_z_ac_std=0.0,
+                     qber_z_bc=0.0, qber_z_bc_std=0.0)
+        bad_ac = QberReport("ABC-layer-0", 0.0, 0.0, 0.0, 0.0, **{**pairs, "qber_z_ac": 0.3})
+        bad_bc = QberReport("ABC-layer-0", 0.0, 0.0, 0.0, 0.0, **{**pairs, "qber_z_bc": 0.3})
+        assert asymptotic_key_rate(bad_ac).rate_mean == pytest.approx(1 - binary_entropy(0.3))
+        assert asymptotic_key_rate(bad_bc).rate_mean == 1.0
 
 
 class TestComputeQbers:
@@ -220,6 +219,17 @@ class TestComputeQbers:
         samples[basis][index] = value
         with pytest.raises(ValueError, match=message):
             compute_qbers(samples, LAYERS[0])
+
+    def test_x_rounds_only_for_standard_layers(self):
+        rho = noisy_psi442(V_EXP)
+        for index, layer in enumerate(LAYERS):
+            # each standard layer keeps its own stream
+            drawn = qkd._draw_outcomes(rho, layer.x_setting_label, 500, 6,
+                                       qkd._X_STREAM_BASE + index)
+            assert np.array_equal(sample_x_rounds(rho, layer, 500, seed=6), drawn)
+        custom = LayerSpec("AB-custom", ("A", "B"), ("00", "33"))
+        with pytest.raises(ValueError, match="'AB-custom' is not one of the standard LAYERS"):
+            sample_x_rounds(rho, custom, 500, seed=6)
 
     def test_sift_fractions_near_half(self):
         rho = make_psi442().density()

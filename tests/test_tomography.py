@@ -12,7 +12,6 @@ from layered442.tomography import (
     ELEMENT_PLANS,
     MissingSettingError,
     born_probabilities,
-    computational_setting,
     count_tables,
     estimate_elements,
     exact_records,
@@ -60,7 +59,7 @@ class TestSettings:
             parse_setting_label("X01-X01-X04")
 
     def test_outcome_orders(self):
-        z = computational_setting()
+        z = parse_setting_label("Z")
         assert len(setting_outcomes(z)) == 32
         s = parse_setting_label("X01-X01-X01")
         outcomes = setting_outcomes(s)
@@ -82,7 +81,7 @@ class TestSettings:
 
 class TestBornProbabilities:
     def test_ideal_computational(self):
-        probs = born_probabilities(make_psi442().density(), computational_setting())
+        probs = born_probabilities(make_psi442().density(), parse_setting_label("Z"))
         for ket in ("000", "111", "220", "331"):
             assert abs(probs[ket] - 0.25) < 1e-12
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -90,7 +89,7 @@ class TestBornProbabilities:
 
     def test_maximally_mixed_uniform(self):
         rho = DensityOperator((4, 4, 2), np.eye(32) / 32)
-        probs = born_probabilities(rho, computational_setting())
+        probs = born_probabilities(rho, parse_setting_label("Z"))
         assert all(abs(p - 1 / 32) < 1e-12 for p in probs.values())
 
     def test_sigma_x_parity_on_first_layer(self):
@@ -113,7 +112,7 @@ class TestBornProbabilities:
 
     def test_invalid_setting_rejected(self, rng):
         rho = random_density((2, 2), rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dims \(2, 2\) are not \(4, 4, 2\)"):
             born_probabilities(rho, parse_setting_label("X01-X01-X01"))
 
 
@@ -172,7 +171,7 @@ class TestSimulateCounts:
     def test_mean_counts_match_rate(self):
         # 0.66/s x 1800 s x 1/4 = 297 expected per signal outcome
         rho = make_psi442().density()
-        plan = ExperimentPlan(0.66, 1800.0, (computational_setting(),))
+        plan = ExperimentPlan(0.66, 1800.0, (parse_setting_label("Z"),))
         totals = np.zeros(4)
         n_seeds = 10000
         for seed in range(n_seeds):
@@ -185,15 +184,15 @@ class TestSimulateCounts:
 
     def test_zero_probability_outcome_never_fires(self):
         rho = make_psi442().density()
-        plan = ExperimentPlan(0.66, 1800.0, (computational_setting(),))
+        plan = ExperimentPlan(0.66, 1800.0, (parse_setting_label("Z"),))
         for seed in range(200):
             recs = simulate_counts(rho, plan, seed)
             assert all(r.counts == 0 for r in recs if r.outcome == "100")
 
     def test_time_doubles_counts(self):
         rho = noisy_psi442(0.9)
-        short = exact_records(rho, ExperimentPlan(0.66, 1800.0, (computational_setting(),)))
-        long = exact_records(rho, ExperimentPlan(0.66, 3600.0, (computational_setting(),)))
+        short = exact_records(rho, ExperimentPlan(0.66, 1800.0, (parse_setting_label("Z"),)))
+        long = exact_records(rho, ExperimentPlan(0.66, 3600.0, (parse_setting_label("Z"),)))
         for a, b in zip(short, long):
             assert abs(b.counts - 2 * a.counts) < 1e-9
 

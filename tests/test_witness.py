@@ -311,7 +311,6 @@ class TestCorrelators:
 
 class TestSubspaceFidelity:
     def test_ideal_renormalized(self):
-        assert abs(subspace_fidelity(0.5, 0.5, 0.5, renormalize=False) - 1.0) < 1e-12
         assert abs(subspace_fidelity(0.25, 0.25, 0.25) - 1.0) < 1e-12
 
     def test_incoherent_boundary(self):
