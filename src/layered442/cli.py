@@ -314,14 +314,15 @@ def _qkd_rows(tables: dict):
     return rows
 
 
-def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int) -> int:
-    if rounds < 1:
-        raise ValueError(f"--rounds must be >= 1, got {rounds}")
+def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) -> int:
     if use_fixture:
         rows = _qkd_rows_fixture()
     elif counts_path:
         rows = _qkd_rows(tomography.count_tables(tomography.records_from_json(counts_path)))
     else:
+        rounds = 100000 if rounds is None else rounds
+        if rounds < 1:
+            raise ValueError(f"--rounds must be >= 1, got {rounds}")
         rows = _qkd_rows(_qkd_tables_simulated(cfg, rounds))
     header = ["subspace", "qber_z", "qber_x", "qber_z_ab", "qber_z_ac",
               "key_per_round_mean", "key_per_round_pessimistic",
@@ -429,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON")
     source.add_argument("--fixture", action="store_true", help="use the published QKD table")
-    p.add_argument("--rounds", type=int, default=100000, help="simulated rounds per basis")
+    source.add_argument("--rounds", type=int, help="simulated rounds per basis (default 100000)")
 
     p = sub.add_parser("fmax", help="dimensionality class bound (and optional search)")
     p.add_argument("--ranks", type=int, nargs=3, default=(4, 3, 2), help="class rank caps")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from layered442.hilbert import DensityOperator
+from layered442.tomography import born_probabilities, parse_setting_label
 
 
 def random_density(dims, rng) -> DensityOperator:
@@ -17,6 +18,15 @@ def flat_index(ket: str, dims=(4, 4, 2)) -> int:
     for ch, d in zip(ket, dims):
         idx = idx * d + int(ch)
     return idx
+
+
+def choice_draws(rho, label, n, seed, stream):
+    """Outcome indices of a setting drawn by ``Generator.choice`` on the stream (seed, stream).
+
+    The reference the round sampler must equal index for index.
+    """
+    p = np.array(list(born_probabilities(rho, parse_setting_label(label)).values()))
+    return np.random.default_rng([seed, stream]).choice(p.size, size=n, p=p / p.sum())
 
 
 @pytest.fixture

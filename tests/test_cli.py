@@ -394,6 +394,23 @@ class TestQkd:
     def test_counts_and_fixture_exclusive(self, tmp_path, capsys):
         assert_counts_and_fixture_refused(tmp_path, capsys, "qkd")
 
+    @pytest.mark.parametrize("source", [["--counts", "nonexistent.json", "--rounds", "7"],
+                                        ["--fixture", "--rounds", "0"]], ids=["counts", "fixture"])
+    def test_rounds_excludes_other_sources(self, tmp_path, capsys, source):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "qkd", *source)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rounds" in err and source[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rounds_default_to_100000(self, tmp_path):
+        code, out = run(tmp_path, "qkd")
+        assert code == 0
+        explicit = tmp_path / "explicit"
+        assert main(["--out", str(explicit), "--no-timestamp", "qkd", "--rounds", "100000"]) == 0
+        assert (out / "qkd_report.csv").read_bytes() == (explicit / "qkd_report.csv").read_bytes()
+
 
 class TestFmax:
     def test_bound_report(self, tmp_path):

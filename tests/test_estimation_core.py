@@ -34,7 +34,7 @@ from layered442.tomography import (
 )
 from layered442.witness import subspace_fidelity
 
-from conftest import flat_index
+from conftest import choice_draws, flat_index
 
 PSI = make_psi442()
 PLAN = standard_plan()
@@ -105,7 +105,7 @@ def test_round_qbers_equal_binned_count_qbers(rho, layer, rounds, seed):
 @PROPERTY_SETTINGS
 @given(rho=densities(), rounds=st.integers(1, 3000), seed=st.integers(0, 2**16))
 def test_z_rounds_are_unravelled_outcome_draws(rho, rounds, seed):
-    draws = qkd._draw_outcomes(rho, "Z", rounds, seed, qkd._Z_STREAM)
+    draws = choice_draws(rho, "Z", rounds, seed, qkd._Z_STREAM)
     expected = np.column_stack(np.unravel_index(draws, rho.dims))
     assert np.array_equal(sample_z_rounds(rho, rounds, seed), expected)
 
@@ -126,6 +126,22 @@ def test_cli_round_tables_equal_compute_qbers(visibility, layer, rounds, seed):
             qbers_from_counts(tables, layer)
         return
     assert dataclasses.asdict(qbers_from_counts(tables, layer)) == dataclasses.asdict(from_rounds)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 1234])
+def test_cli_round_tables_equal_choice_draws(seed):
+    cfg = RunConfig(seed=seed)
+    rho = noisy_psi442(cfg.visibility)
+    rounds = 100000
+    expected = {"Z": np.bincount(choice_draws(rho, "Z", rounds, seed, qkd._Z_STREAM), minlength=32)}
+    for index, layer in enumerate(LAYERS):
+        label = layer.x_setting_label
+        drawn = choice_draws(rho, label, rounds, seed, qkd._X_STREAM_BASE + index)
+        n_outcomes = len(setting_outcomes(parse_setting_label(label)))
+        expected[label] = np.bincount(drawn, minlength=n_outcomes)
+    tables = _qkd_tables_simulated(cfg, rounds)
+    assert tables.keys() == expected.keys()
+    assert all(np.array_equal(tables[label], counts) for label, counts in expected.items())
 
 
 def _sifting_oracle(tables, layer):

@@ -2,6 +2,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from layered442 import qkd
 from layered442.circuit import make_psi442, noisy_psi442
@@ -21,6 +23,8 @@ from layered442.qkd import (
     sample_z_rounds,
 )
 from layered442.tomography import born_probabilities, parse_setting_label
+
+from conftest import choice_draws
 
 
 V_EXP = 0.8493
@@ -224,8 +228,7 @@ class TestComputeQbers:
         rho = noisy_psi442(V_EXP)
         for index, layer in enumerate(LAYERS):
             # each standard layer keeps its own stream
-            drawn = qkd._draw_outcomes(rho, layer.x_setting_label, 500, 6,
-                                       qkd._X_STREAM_BASE + index)
+            drawn = choice_draws(rho, layer.x_setting_label, 500, 6, qkd._X_STREAM_BASE + index)
             assert np.array_equal(sample_x_rounds(rho, layer, 500, seed=6), drawn)
         custom = LayerSpec("AB-custom", ("A", "B"), ("00", "33"))
         with pytest.raises(ValueError, match="'AB-custom' is not one of the standard LAYERS"):
@@ -248,6 +251,42 @@ class TestComputeQbers:
     def test_counts_missing_setting(self):
         with pytest.raises(ValueError, match="X01-X01-X01"):
             qbers_from_counts({"Z": {"000": 10}}, LAYERS[0])
+
+
+@st.composite
+def outcome_weights(draw):
+    """1 to 32 outcome weights: a single non-zero entry, cdf values exactly on the
+    guide-table bucket edges k/4096 (leading and trailing zeros among them), or a
+    mix of zeros, entries below 2**-12 and entries in [0, 1]."""
+    k = draw(st.integers(1, 32))
+    shape = draw(st.sampled_from(["single", "edges", "mixed"]))
+    if shape == "single":
+        p = np.zeros(k)
+        p[draw(st.integers(0, k - 1))] = draw(st.floats(1e-300, 1e300))
+    elif shape == "edges":
+        cuts = sorted(draw(st.lists(st.integers(0, 4096), min_size=k - 1, max_size=k - 1)))
+        p = np.diff([0, *cuts, 4096]) / 4096
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(2.0**-40, 2.0**-12), st.floats(0.0, 1.0))
+        p = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+        assume(p.sum() > 0)
+    return p
+
+
+class TestOutcomeDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(p=outcome_weights(), n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    def test_equal_generator_choice_index_for_index(self, p, n, seed):
+        expected = np.random.default_rng(seed).choice(p.size, size=n, p=p / p.sum())
+        drawn = qkd._draw_indices(p, n, np.random.default_rng(seed), "Z")
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [0.0, 0.0],
+                                   [0.5, np.inf]], ids=["nan", "negative", "all-zero", "infinite"])
+    def test_invalid_probabilities_name_the_setting(self, p):
+        with pytest.raises(ValueError, match=r"setting 'X01-X01-X01': outcome probabilities"):
+            qkd._draw_indices(np.array(p), 10, np.random.default_rng(1), "X01-X01-X01")
 
 
 class TestIdealCorrelations:
