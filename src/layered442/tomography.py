@@ -241,6 +241,12 @@ def element_plan(bra: str, ket: str) -> tuple:
 
 ELEMENT_PLANS = {pair: element_plan(*pair) for pair in OFFDIAG_PAIRS}
 
+# Each correlator setting's 0/1 map, shape (3, outcomes), onto its +1, -1 and
+# 0 eigenvalue classes: the estimator reads a setting only through these sums.
+# Every setting serves one pair, so its values, and so its classes, are unique.
+_CLASS_MAPS = {label: np.array([values > 0, values < 0, values == 0], dtype=float)
+               for pair in OFFDIAG_PAIRS for label, _, values in ELEMENT_PLANS[pair]}
+
 # The computational setting plus the 20 correlators, parsed once.
 _STANDARD_SETTINGS = tuple(parse_setting_label(label) for label in dict.fromkeys(
     [Z_LABEL] + [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]))
@@ -341,26 +347,46 @@ def _diagonal_values(z_counts: np.ndarray) -> np.ndarray:
     return z_counts / safe
 
 
-def _element_value(arrays, pair) -> np.ndarray:
+def _element_value(sums, pair) -> np.ndarray:
     """One coherence from the witness formula on signed expectations."""
     expectations = []
-    for label, sign, values in ELEMENT_PLANS[pair]:
-        counts = arrays[label]
-        total = counts.sum(axis=-1)
-        expectations.append(sign * (counts @ values) / np.where(total > 0, total, 1.0))
+    for label, sign, _ in ELEMENT_PLANS[pair]:
+        plus, minus, zero = np.moveaxis(sums[label], -1, 0)
+        total = plus + minus + zero
+        expectations.append(sign * (plus - minus) / np.where(total > 0, total, 1.0))
     formula = offdiag_from_correlators if len(expectations) == 4 else offdiag_from_pair_correlators
     return formula(*expectations)
 
 
-def _element_arrays(arrays) -> tuple[np.ndarray, np.ndarray]:
+def _element_arrays(sums) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals (..., 32) and off-diagonals (..., 6); trial axes broadcast."""
-    off = np.stack([_element_value(arrays, pair) for pair in OFFDIAG_PAIRS], axis=-1)
-    return _diagonal_values(arrays[Z_LABEL]), off
+    off = np.stack([_element_value(sums, pair) for pair in OFFDIAG_PAIRS], axis=-1)
+    return _diagonal_values(sums[Z_LABEL]), off
 
 
 def required_settings() -> tuple[str, ...]:
     """Labels every witness estimation needs."""
     return tuple(s.label for s in _STANDARD_SETTINGS)
+
+
+def _class_sums(tables) -> dict[str, np.ndarray]:
+    """``Z`` counts, and each correlator setting's (+1, -1, 0) eigenvalue-class sums.
+
+    Rejects a class sum the Poisson sampler could not resample, so every
+    estimate can be given an error bar.
+    """
+    missing = [label for label in required_settings() if label not in tables]
+    if missing:
+        raise MissingSettingError(missing)
+    sums = {Z_LABEL: tables[Z_LABEL]}
+    for label, classes in _CLASS_MAPS.items():
+        sums[label] = classes @ tables[label]
+        for name, total in zip(("+1", "-1", "0"), sums[label]):
+            if total > _POISSON_LAM_MAX:
+                raise ValueError(f"eigenvalue {name} counts of setting {label!r} sum to "
+                                 f"{total:.10g}; at most {_POISSON_LAM_MAX:.10g} "
+                                 f"can be resampled")
+    return sums
 
 
 def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
@@ -371,17 +397,14 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
     their signed weights.  Standard deviations are left at zero; use
     :func:`monte_carlo_errors` for error bars.
     """
-    return _estimate(count_tables(records))
+    return _estimate(_class_sums(count_tables(records)))
 
 
-def _estimate(arrays) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
-    """:func:`estimate_elements` on count tables already built."""
-    missing = [label for label in required_settings() if label not in arrays]
-    if missing:
-        raise MissingSettingError(missing)
-    z_counts = arrays[Z_LABEL]
+def _estimate(sums) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
+    """:func:`estimate_elements` on class sums already built."""
+    z_counts = sums[Z_LABEL]
     z_total = z_counts.sum()
-    diag_vals, off_vals = _element_arrays(arrays)
+    diag_vals, off_vals = _element_arrays(sums)
     diagonals = tuple(
         ElementEstimate(
             ket, ket, float(v), 0.0,
@@ -392,7 +415,7 @@ def _estimate(arrays) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimat
     offdiagonals = tuple(
         ElementEstimate(
             pair[0], pair[1], float(v), 0.0,
-            low_stats=any(arrays[label].sum() < LOW_STATS_THRESHOLD
+            low_stats=any(sums[label].sum() < LOW_STATS_THRESHOLD
                           for label, _, _ in ELEMENT_PLANS[pair]),
         )
         for pair, v in zip(OFFDIAG_PAIRS, off_vals)
@@ -414,18 +437,18 @@ class MonteCarloResult:
     degenerate: bool
 
 
-def _resample(arrays, labels, trials: int, seed: int) -> dict[str, np.ndarray]:
-    """Poisson(count) draws of each labelled setting, shape (trials, outcomes).
+def _resample(sums, labels, trials: int, seed: int) -> dict[str, np.ndarray]:
+    """Poisson draws of each labelled setting: ``Z`` per outcome, others per class sum.
 
-    Each setting draws from its own stream keyed by (seed, index in
-    :func:`standard_plan`, 1), so a subset of the settings gets exactly the
-    draws the full set would.
+    Shapes (trials, 32) and (trials, 3).  Each setting draws from its own
+    stream keyed by (seed, index in :func:`standard_plan`, 1), so a subset
+    of the settings gets exactly the draws the full set would.
     """
     resampled = {}
     for label in labels:
         rng = np.random.default_rng([int(seed), _PLAN_INDEX[label], _RESAMPLE_STREAM])
-        counts = arrays[label]
-        resampled[label] = rng.poisson(counts, size=(trials, counts.size)).astype(float)
+        means = sums[label]
+        resampled[label] = rng.poisson(means, size=(trials, means.size)).astype(float)
     return resampled
 
 
@@ -451,21 +474,24 @@ def _subspace_estimate(pair, central_diag, coherence, diag_samples, coherence_sa
 def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     """Propagate Poissonian counting errors by resampling the experiment.
 
-    Every observed count is resampled as Poisson(count) per trial; all
-    elements, the target fidelity and the six renormalized subspace
-    fidelities are recomputed per trial, and the sample standard
-    deviations become the quoted errors.  Each setting's resampling
-    stream is keyed by (seed, index in :func:`standard_plan`, 1), so the
-    result does not depend on the order of ``records`` and never reuses
-    the draws :func:`simulate_counts` made with the same seed.  Fewer than 100
-    trials is allowed but flagged degenerate.
+    Per trial, every ``Z`` count is resampled as Poisson(count) and each
+    correlator setting's +1, -1 and 0 eigenvalue-class sums as Poisson(sum):
+    the estimator reads a correlator only through those sums, and a sum of
+    independent Poisson counts is Poisson with the summed mean, so this is
+    exactly resampling every count.  All elements, the target fidelity and
+    the six renormalized subspace fidelities are recomputed per trial, and
+    the sample standard deviations become the quoted errors.  Each setting's
+    resampling stream is keyed by (seed, index in :func:`standard_plan`,
+    1), so the result does not depend on the order of ``records`` and never
+    reuses the draws :func:`simulate_counts` made with the same seed.  Fewer
+    than 100 trials is allowed but flagged degenerate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = count_tables(records)
-    central_diag, central_off = _estimate(tables)
+    sums = _class_sums(count_tables(records))
+    central_diag, central_off = _estimate(sums)
     fidelity = fidelity_from_elements(central_diag, central_off)
-    resampled = _resample(tables, required_settings(), trials, seed)
+    resampled = _resample(sums, required_settings(), trials, seed)
     diag_samples, off_samples = _element_arrays(resampled)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
 
@@ -508,11 +534,11 @@ def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = count_tables(records)
-    central_diag, central_off = _estimate(tables)
+    sums = _class_sums(count_tables(records))
+    central_diag, central_off = _estimate(sums)
     _checked_diagonal_sum(np.array([e.value for e in central_diag]))
     labels = [Z_LABEL] + [label for label, _, _ in ELEMENT_PLANS[pair]]
-    resampled = _resample(tables, labels, trials, seed)
+    resampled = _resample(sums, labels, trials, seed)
     coherence_samples = _element_value(resampled, pair)
     diag_samples = _diagonal_values(resampled[Z_LABEL])
     _checked_diagonal_sum(diag_samples)

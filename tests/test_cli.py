@@ -357,6 +357,18 @@ def test_unresamplable_count_rejected(tmp_path, capsys, command, report, count):
             f"9.223372006e+18 to be resampled, got {count!r}") in err
 
 
+@RESAMPLING_COMMANDS
+def test_unresamplable_class_sum_rejected(tmp_path, capsys, command, report):
+    # Each count alone can be resampled; their eigenvalue +1 class sum cannot.
+    def edit(data):
+        for outcome in ("+++", "+--"):
+            set_count(data, "X01-X01-X01", outcome, 5.6e18)
+    counts = edited_counts(tmp_path, edit)
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert ("eigenvalue +1 counts of setting 'X01-X01-X01' sum to 1.12e+19; "
+            "at most 9.223372006e+18 can be resampled") in err
+
+
 class TestQkd:
     def test_fixture_table(self, tmp_path):
         code, out = run(tmp_path, "qkd", "--fixture")

@@ -26,7 +26,14 @@ from layered442.tomography import (
     CountRecord,
     ExperimentPlan,
 )
-from layered442.witness import OFFDIAG_PAIRS, fidelity_from_elements
+from layered442.witness import (
+    OFFDIAG_PAIRS,
+    fidelity_from_arrays,
+    fidelity_from_elements,
+    offdiag_from_correlators,
+    offdiag_from_pair_correlators,
+    subspace_fidelity,
+)
 
 from conftest import flat_index, random_density
 
@@ -44,6 +51,11 @@ class TestSettings:
         for expected in ("X01-X01-X01", "Y01-Y01-X01", "X02-X02-Z", "Y13-Y13-Z",
                          "X23-X23-X01", "Y03-X03-Y01"):
             assert expected in labels
+
+    def test_each_correlator_setting_serves_one_pair(self):
+        # So each setting has one eigenvalue per outcome, and one class map.
+        labels = [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]
+        assert sorted(labels) == sorted(s.label for s in standard_plan().settings[1:])
 
     def test_label_round_trip(self):
         for setting in standard_plan().settings:
@@ -395,3 +407,77 @@ def test_subspace_monte_carlo_equals_full_resampling(seed, trials, integration_t
         value, spread = subspace_monte_carlo(recs, pair, trials, seed)
         # Bitwise, so nan equals nan.
         assert np.array([value, spread]).tobytes() == np.array(full[pair]).tobytes(), pair
+
+
+def per_outcome_elements(tables):
+    """Diagonals (..., 32) and off-diagonals (..., 6) read from every outcome's count.
+
+    The per-outcome form of the estimator: a correlator expectation is the
+    setting's counts times its outcome eigenvalues, over its total.
+    """
+    def expectation(label, sign, values):
+        counts = tables[label]
+        total = counts.sum(axis=-1)
+        return sign * (counts @ values) / np.where(total > 0, total, 1.0)
+
+    off = []
+    for pair in OFFDIAG_PAIRS:
+        terms = [expectation(*entry) for entry in ELEMENT_PLANS[pair]]
+        formula = offdiag_from_correlators if len(terms) == 4 else offdiag_from_pair_correlators
+        off.append(formula(*terms))
+    z = tables["Z"]
+    total = z.sum(axis=-1, keepdims=True)
+    return z / np.where(total > 0, total, 1.0), np.stack(off, axis=-1)
+
+
+def element_values(records):
+    diag, off = estimate_elements(records)
+    return np.array([e.value for e in diag]), np.array([e.value for e in off])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       integration_time=st.sampled_from([0.5, 2.0, 10.0, 100.0, 1800.0, 1.8e6]))
+def test_class_sum_estimates_equal_per_outcome_oracle(seed, integration_time):
+    rho = random_density((4, 4, 2), np.random.default_rng(seed))
+    plan = standard_plan(0.66, integration_time)
+    recs = simulate_counts(rho, plan, seed)
+    # Sums of integer counts are exact, so the class sums change no bit.
+    for got, want in zip(element_values(recs), per_outcome_elements(count_tables(recs))):
+        assert got.tobytes() == want.tobytes()
+    exact = exact_records(rho, plan)
+    for got, want in zip(element_values(exact), per_outcome_elements(count_tables(exact))):
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+ORACLE_TRIALS = 20000
+# A sample std over n trials has a relative spread of about 1/sqrt(2 (n - 1)),
+# 0.5% here; two independent estimates differ with a spread of about 0.71%,
+# so 3% is over four of those.
+ORACLE_RTOL = 6 / math.sqrt(2 * (ORACLE_TRIALS - 1))
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_class_sum_resampling_matches_per_outcome_oracle(seed):
+    recs = simulate_counts(noisy_psi442(0.8493), standard_plan(), seed)
+    result = monte_carlo_errors(recs, ORACLE_TRIALS, seed)
+    tables = count_tables(recs)
+
+    # Z is still drawn outcome by outcome, on the stream (seed, 0, 1).
+    z = np.random.default_rng([seed, 0, 1]).poisson(tables["Z"], size=(ORACLE_TRIALS, 32))
+    z_diag = z / z.sum(axis=1, keepdims=True)
+    assert [e.std_dev for e in result.diagonals] == [float(np.std(c, ddof=1)) for c in z_diag.T]
+
+    # Every count of every setting drawn as Poisson(count), on a stream of its own.
+    rng = np.random.default_rng([seed, 0, 2])
+    diag, off = per_outcome_elements(
+        {label: rng.poisson(c, size=(ORACLE_TRIALS, c.size)).astype(float)
+         for label, c in tables.items()})
+    want = [np.std(fidelity_from_arrays(diag, off), ddof=1)]
+    got = [result.fidelity_std]
+    for k, (e, pair) in enumerate(zip(result.offdiagonals, OFFDIAG_PAIRS)):
+        i, j = flat_index(pair[0]), flat_index(pair[1])
+        want += [np.std(off[:, k], ddof=1),
+                 np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
+        got += [e.std_dev, result.subspace_fidelities[pair][1]]
+    np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL)
