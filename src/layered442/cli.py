@@ -76,7 +76,11 @@ def _load_config(args) -> RunConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {args.config} nests JSON too deeply "
+                                 "to parse") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"config file must be a JSON object, got {type(file_values).__name__}")
         unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
@@ -409,59 +413,49 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="omit timestamps for byte-identical reruns")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen-state", help="build the state, check circuit vs closed form")
-    sub.add_parser("simulate-counts", help="simulate Poissonian counts for the witness plan")
+    p = sub.add_parser("gen-state", help="build the state, check circuit vs closed form")
+    p.set_defaults(run=lambda cfg, args: cmd_gen_state(cfg))
+    p = sub.add_parser("simulate-counts", help="simulate Poissonian counts for the witness plan")
+    p.set_defaults(run=lambda cfg, args: cmd_simulate_counts(cfg))
 
     p = sub.add_parser("estimate", help="estimate density-matrix elements from counts")
+    p.set_defaults(run=lambda cfg, args: cmd_estimate(cfg, args.counts))
     p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
 
     p = sub.add_parser("witness", help="dimensionality witness report")
+    p.set_defaults(run=lambda cfg, args: cmd_witness(cfg, args.counts, args.fixture))
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published element record")
 
     p = sub.add_parser("subspace", help="two-level subspace GHZ fidelity")
+    p.set_defaults(run=lambda cfg, args: cmd_subspace(cfg, args.kets, args.counts, args.fixture))
     p.add_argument("kets", nargs=2, help="two signal kets, e.g. 000 111")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published fidelities")
 
     p = sub.add_parser("qkd", help="per-layer QBERs and key rates")
+    p.set_defaults(run=lambda cfg, args: cmd_qkd(cfg, args.counts, args.fixture, args.rounds))
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON")
     source.add_argument("--fixture", action="store_true", help="use the published QKD table")
     source.add_argument("--rounds", type=int, help="simulated rounds per basis (default 100000)")
 
     p = sub.add_parser("fmax", help="dimensionality class bound (and optional search)")
+    p.set_defaults(run=lambda cfg, args: cmd_fmax(cfg, args.ranks, args.restarts))
     p.add_argument("--ranks", type=int, nargs=3, default=(4, 3, 2), help="class rank caps")
     p.add_argument("--restarts", type=int, default=0, help="stochastic search restarts")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        if args.command == "gen-state":
-            return cmd_gen_state(cfg)
-        if args.command == "simulate-counts":
-            return cmd_simulate_counts(cfg)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, args.counts)
-        if args.command == "witness":
-            return cmd_witness(cfg, args.counts, args.fixture)
-        if args.command == "subspace":
-            return cmd_subspace(cfg, args.kets, args.counts, args.fixture)
-        if args.command == "qkd":
-            return cmd_qkd(cfg, args.counts, args.fixture, args.rounds)
-        if args.command == "fmax":
-            return cmd_fmax(cfg, args.ranks, args.restarts)
-        parser.error(f"unknown command {args.command}")
+        return args.run(_load_config(args), args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

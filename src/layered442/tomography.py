@@ -35,7 +35,6 @@ from .witness import (
     ElementEstimate,
     _checked_diagonal_sum,
     fidelity_from_arrays,
-    fidelity_from_elements,
     offdiag_from_correlators,
     offdiag_from_pair_correlators,
     subspace_fidelity,
@@ -293,17 +292,17 @@ def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecor
 
 
 def records_to_json(records, path):
-    data = [
-        {"setting": r.setting, "outcome": r.outcome, "counts": r.counts} for r in records
-    ]
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1)
+        json.dump([vars(r) for r in records], fh, indent=1)
         fh.write("\n")
 
 
 def records_from_json(path) -> list[CountRecord]:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"count file {path} nests JSON too deeply to parse") from None
     if not isinstance(data, list):
         raise ValueError("count file must be a JSON array of records")
     records = []
@@ -340,28 +339,24 @@ def count_tables(records) -> dict[str, np.ndarray]:
     return tables
 
 
-def _diagonal_values(z_counts: np.ndarray) -> np.ndarray:
-    """counts / C_T along the last axis (trial axes broadcast through)."""
-    total = z_counts.sum(axis=-1, keepdims=True)
-    safe = np.where(total > 0, total, 1.0)
-    return z_counts / safe
+def _elements(sums, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (..., 32) and the coherences of ``pairs`` (..., len(pairs)); trial axes broadcast.
 
-
-def _element_value(sums, pair) -> np.ndarray:
-    """One coherence from the witness formula on signed expectations."""
-    expectations = []
-    for label, sign, _ in ELEMENT_PLANS[pair]:
-        plus, minus, zero = np.moveaxis(sums[label], -1, 0)
-        total = plus + minus + zero
-        expectations.append(sign * (plus - minus) / np.where(total > 0, total, 1.0))
-    formula = offdiag_from_correlators if len(expectations) == 4 else offdiag_from_pair_correlators
-    return formula(*expectations)
-
-
-def _element_arrays(sums) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (..., 32) and off-diagonals (..., 6); trial axes broadcast."""
-    off = np.stack([_element_value(sums, pair) for pair in OFFDIAG_PAIRS], axis=-1)
-    return _diagonal_values(sums[Z_LABEL]), off
+    A coherence is the witness formula on its settings' signed expectations.
+    """
+    z_counts = sums[Z_LABEL]
+    z_total = z_counts.sum(axis=-1, keepdims=True)
+    coherences = []
+    for pair in pairs:
+        expectations = []
+        for label, sign, _ in ELEMENT_PLANS[pair]:
+            plus, minus, zero = np.moveaxis(sums[label], -1, 0)
+            total = plus + minus + zero
+            expectations.append(sign * (plus - minus) / np.where(total > 0, total, 1.0))
+        formula = (offdiag_from_correlators if len(expectations) == 4
+                   else offdiag_from_pair_correlators)
+        coherences.append(formula(*expectations))
+    return z_counts / np.where(z_total > 0, z_total, 1.0), np.stack(coherences, axis=-1)
 
 
 def required_settings() -> tuple[str, ...]:
@@ -369,12 +364,13 @@ def required_settings() -> tuple[str, ...]:
     return tuple(s.label for s in _STANDARD_SETTINGS)
 
 
-def _class_sums(tables) -> dict[str, np.ndarray]:
+def _class_sums(records) -> dict[str, np.ndarray]:
     """``Z`` counts, and each correlator setting's (+1, -1, 0) eigenvalue-class sums.
 
     Rejects a class sum the Poisson sampler could not resample, so every
     estimate can be given an error bar.
     """
+    tables = count_tables(records)
     missing = [label for label in required_settings() if label not in tables]
     if missing:
         raise MissingSettingError(missing)
@@ -389,6 +385,23 @@ def _class_sums(tables) -> dict[str, np.ndarray]:
     return sums
 
 
+def _element_estimates(sums, diag, off, diag_std=(0.0,) * 32, off_std=(0.0,) * 6):
+    """Central elements of all six pairs as :class:`ElementEstimate` tuples, stds default 0."""
+    z_total = sums[Z_LABEL].sum()
+    diagonals = tuple(
+        ElementEstimate(ket, ket, float(v), s,
+                        low_stats=bool(c == 0 or z_total < LOW_STATS_THRESHOLD))
+        for ket, v, s, c in zip(ALL_KETS, diag, diag_std, sums[Z_LABEL])
+    )
+    offdiagonals = tuple(
+        ElementEstimate(pair[0], pair[1], float(v), s,
+                        low_stats=any(sums[label].sum() < LOW_STATS_THRESHOLD
+                                      for label, _, _ in ELEMENT_PLANS[pair]))
+        for pair, v, s in zip(OFFDIAG_PAIRS, off, off_std)
+    )
+    return diagonals, offdiagonals
+
+
 def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
     """Central estimates of the 32 diagonal and 6 off-diagonal elements.
 
@@ -397,30 +410,8 @@ def estimate_elements(records) -> tuple[tuple[ElementEstimate, ...], tuple[Eleme
     their signed weights.  Standard deviations are left at zero; use
     :func:`monte_carlo_errors` for error bars.
     """
-    return _estimate(_class_sums(count_tables(records)))
-
-
-def _estimate(sums) -> tuple[tuple[ElementEstimate, ...], tuple[ElementEstimate, ...]]:
-    """:func:`estimate_elements` on class sums already built."""
-    z_counts = sums[Z_LABEL]
-    z_total = z_counts.sum()
-    diag_vals, off_vals = _element_arrays(sums)
-    diagonals = tuple(
-        ElementEstimate(
-            ket, ket, float(v), 0.0,
-            low_stats=bool(c == 0 or z_total < LOW_STATS_THRESHOLD),
-        )
-        for ket, v, c in zip(ALL_KETS, diag_vals, z_counts)
-    )
-    offdiagonals = tuple(
-        ElementEstimate(
-            pair[0], pair[1], float(v), 0.0,
-            low_stats=any(sums[label].sum() < LOW_STATS_THRESHOLD
-                          for label, _, _ in ELEMENT_PLANS[pair]),
-        )
-        for pair, v in zip(OFFDIAG_PAIRS, off_vals)
-    )
-    return diagonals, offdiagonals
+    sums = _class_sums(records)
+    return _element_estimates(sums, *_elements(sums, OFFDIAG_PAIRS))
 
 
 @dataclass(frozen=True)
@@ -437,38 +428,47 @@ class MonteCarloResult:
     degenerate: bool
 
 
-def _resample(sums, labels, trials: int, seed: int) -> dict[str, np.ndarray]:
-    """Poisson draws of each labelled setting: ``Z`` per outcome, others per class sum.
+def _resampled_elements(records, pairs, trials: int, seed: int):
+    """``(sums, (diag, off), (diag_samples, off_samples))``: the one Monte Carlo resampling.
 
-    Shapes (trials, 32) and (trials, 3).  Each setting draws from its own
-    stream keyed by (seed, index in :func:`standard_plan`, 1), so a subset
-    of the settings gets exactly the draws the full set would.
+    Central elements cover all six pairs, resampled ones (trials first) only
+    ``pairs``: ``Z`` and their settings are drawn, each on the stream (seed,
+    index in :func:`standard_plan`, 1), so any subset of pairs gets the
+    draws the full set would.  The checks do not depend on ``pairs``.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    sums = _class_sums(records)
+    central = _elements(sums, OFFDIAG_PAIRS)
+    _checked_diagonal_sum(central[0])
     resampled = {}
-    for label in labels:
+    for label in [Z_LABEL] + [label for pair in pairs for label, _, _ in ELEMENT_PLANS[pair]]:
         rng = np.random.default_rng([int(seed), _PLAN_INDEX[label], _RESAMPLE_STREAM])
-        means = sums[label]
-        resampled[label] = rng.poisson(means, size=(trials, means.size)).astype(float)
-    return resampled
+        resampled[label] = rng.poisson(sums[label], size=(trials, sums[label].size)).astype(float)
+    samples = _elements(resampled, pairs)
+    _checked_diagonal_sum(samples[0])
+    return sums, central, samples
 
 
-def _subspace_estimate(pair, central_diag, coherence, diag_samples, coherence_samples):
+def _subspace_estimate(pair, central, diag_samples, coherence_samples):
     """(value, spread) of one pair's subspace fidelity from central and resampled elements.
 
-    Both are nan when the pair's central population is zero.  The spread
-    is the std over the trials with non-zero population, nan below two
-    such trials, and 0 for a single trial.
+    ``central`` is ``(diag, off)`` over all six pairs.  Both are nan when
+    the pair's central population is zero.  The spread is the std over the
+    trials with non-zero population, nan below two such trials, and 0 for
+    a single trial.
     """
+    diag, off = central
     i, j = ALL_KETS.index(pair[0]), ALL_KETS.index(pair[1])
-    if not central_diag[i].value + central_diag[j].value > 0:
+    if not diag[i] + diag[j] > 0:
         return float("nan"), float("nan")
-    central = subspace_fidelity(central_diag[i].value, central_diag[j].value, coherence)
+    value = subspace_fidelity(diag[i], diag[j], off[OFFDIAG_PAIRS.index(pair)])
     fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], coherence_samples)
     finite = np.count_nonzero(~np.isnan(fsub))
     # Below two finite trials the spread is undefined (nanstd would warn).
     spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
               else 0.0 if len(fsub) == 1 else float("nan"))
-    return central, spread
+    return value, spread
 
 
 def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
@@ -480,41 +480,32 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     independent Poisson counts is Poisson with the summed mean, so this is
     exactly resampling every count.  All elements, the target fidelity and
     the six renormalized subspace fidelities are recomputed per trial, and
-    the sample standard deviations become the quoted errors.  Each setting's
-    resampling stream is keyed by (seed, index in :func:`standard_plan`,
-    1), so the result does not depend on the order of ``records`` and never
-    reuses the draws :func:`simulate_counts` made with the same seed.  Fewer
-    than 100 trials is allowed but flagged degenerate.
+    the per-element sample standard deviations become the quoted errors.
+    Each setting's resampling stream is keyed by (seed, index in
+    :func:`standard_plan`, 1), so the result does not depend on the order
+    of ``records`` and never reuses the draws :func:`simulate_counts` made
+    with the same seed.  :func:`subspace_monte_carlo` runs the same
+    resampling on one pair.  Fewer than 100 trials is allowed but flagged
+    degenerate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sums = _class_sums(count_tables(records))
-    central_diag, central_off = _estimate(sums)
-    fidelity = fidelity_from_elements(central_diag, central_off)
-    resampled = _resample(sums, required_settings(), trials, seed)
-    diag_samples, off_samples = _element_arrays(resampled)
+    sums, central, (diag_samples, off_samples) = _resampled_elements(
+        records, OFFDIAG_PAIRS, trials, seed)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
 
     def std(samples):
         return float(np.std(samples, ddof=1)) if trials > 1 else 0.0
 
-    diagonals = tuple(
-        ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats)
-        for e, samples in zip(central_diag, diag_samples.T)
-    )
-    offdiagonals = tuple(
-        ElementEstimate(e.bra, e.ket, e.value, std(samples), e.low_stats)
-        for e, samples in zip(central_off, off_samples.T)
-    )
+    diagonals, offdiagonals = _element_estimates(
+        sums, *central, [std(s) for s in diag_samples.T], [std(s) for s in off_samples.T])
     subspace = {
-        pair: _subspace_estimate(pair, central_diag, e.value, diag_samples, samples)
-        for pair, e, samples in zip(OFFDIAG_PAIRS, central_off, off_samples.T)
+        pair: _subspace_estimate(pair, central, diag_samples, samples)
+        for pair, samples in zip(OFFDIAG_PAIRS, off_samples.T)
     }
 
     return MonteCarloResult(
         diagonals=diagonals,
         offdiagonals=offdiagonals,
-        fidelity=fidelity,
+        fidelity=fidelity_from_arrays(*central),
         fidelity_std=std(fid_samples),
         fidelity_mean=float(np.mean(fid_samples)),
         subspace_fidelities=subspace,
@@ -528,19 +519,8 @@ def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, 
 
     Equal bit for bit to ``monte_carlo_errors(records, trials,
     seed).subspace_fidelities[pair]``, and rejects the same records with
-    the same message, but resamples only the computational setting and the
-    correlator settings of ``pair``, on the streams the full resampling
-    gives them.
+    the same message: the one resampling behind both draws here only the
+    computational setting and the correlator settings of ``pair``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    sums = _class_sums(count_tables(records))
-    central_diag, central_off = _estimate(sums)
-    _checked_diagonal_sum(np.array([e.value for e in central_diag]))
-    labels = [Z_LABEL] + [label for label, _, _ in ELEMENT_PLANS[pair]]
-    resampled = _resample(sums, labels, trials, seed)
-    coherence_samples = _element_value(resampled, pair)
-    diag_samples = _diagonal_values(resampled[Z_LABEL])
-    _checked_diagonal_sum(diag_samples)
-    coherence = central_off[OFFDIAG_PAIRS.index(pair)].value
-    return _subspace_estimate(pair, central_diag, coherence, diag_samples, coherence_samples)
+    _, central, (diag_samples, off_samples) = _resampled_elements(records, (pair,), trials, seed)
+    return _subspace_estimate(pair, central, diag_samples, off_samples[:, 0])

@@ -473,6 +473,21 @@ def test_non_finite_json_value_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("--config", "{path}", "witness"),
+    ("witness", "--counts", "{path}"),
+    ("qkd", "--counts", "{path}"),
+], ids=["config", "witness-counts", "qkd-counts"])
+def test_deeply_nested_json_rejected(tmp_path, capsys, args):
+    # Python's JSON parser raises RecursionError, not a ValueError, on deep nesting.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out = run(tmp_path, *(a.format(path=path) for a in args))
+    assert code == 2
+    assert f"{path} nests JSON too deeply to parse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfig:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -481,3 +481,42 @@ def test_class_sum_resampling_matches_per_outcome_oracle(seed):
                  np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
         got += [e.std_dev, result.subspace_fidelities[pair][1]]
     np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL)
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_resampled_errors_pinned_bit_for_bit(seed):
+    # Class sums drawn on the streams (seed, plan index, 1), the witness formulas,
+    # then one np.std per column: a change of stream, draw or reduction order shows.
+    trials = 1000
+    recs = simulate_counts(noisy_psi442(0.8493), standard_plan(), seed)
+    result = monte_carlo_errors(recs, trials, seed)
+    tables = count_tables(recs)
+    labels = [s.label for s in standard_plan().settings]
+
+    def draw(label, means):
+        rng = np.random.default_rng([seed, labels.index(label), 1])
+        return rng.poisson(means, size=(trials, means.size)).astype(float)
+
+    z = draw("Z", tables["Z"])
+    diag = z / z.sum(axis=1, keepdims=True)
+    off = []
+    for pair in OFFDIAG_PAIRS:
+        terms = []
+        for label, sign, values in ELEMENT_PLANS[pair]:
+            counts = tables[label]
+            sums = [counts[values > 0].sum(), counts[values < 0].sum(), counts[values == 0].sum()]
+            plus, minus, zero = draw(label, np.array(sums)).T
+            terms.append(sign * (plus - minus) / (plus + minus + zero))
+        formula = offdiag_from_correlators if len(terms) == 4 else offdiag_from_pair_correlators
+        off.append(formula(*terms))
+    off = np.stack(off, axis=-1)
+    fidelity = fidelity_from_arrays(diag, off)
+
+    want = [np.std(fidelity, ddof=1), np.mean(fidelity)] + [np.std(c, ddof=1) for c in diag.T]
+    got = [result.fidelity_std, result.fidelity_mean] + [e.std_dev for e in result.diagonals]
+    for k, (e, pair) in enumerate(zip(result.offdiagonals, OFFDIAG_PAIRS)):
+        i, j = flat_index(pair[0]), flat_index(pair[1])
+        want += [np.std(off[:, k], ddof=1),
+                 np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
+        got += [e.std_dev, result.subspace_fidelities[pair][1]]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
