@@ -212,12 +212,17 @@ def cmd_estimate(cfg: RunConfig, counts_path) -> int:
 
 
 def _consistency_warnings(diagonals, offdiagonals):
-    """Flag coherences exceeding the geometric mean of their populations."""
-    diag = {e.bra: e.value for e in diagonals}
+    """Flag coherences above their bound sqrt(rho_ii rho_jj) by over 3 sigma of the difference."""
+    diag = {e.bra: e for e in diagonals}
     warnings = []
     for e in offdiagonals:
-        bound = np.sqrt(max(diag[e.bra], 0.0) * max(diag[e.ket], 0.0))
-        if abs(e.value) > bound + 3 * e.std_dev + 1e-12:
+        a, b = diag[e.bra], diag[e.ket]
+        bound, bound_var = 0.0, 0.0
+        if a.value > 0 and b.value > 0:
+            bound = math.sqrt(a.value * b.value)
+            # First-order error of the bound from the diagonal errors.
+            bound_var = (b.value * a.std_dev**2 / a.value + a.value * b.std_dev**2 / b.value) / 4
+        if abs(e.value) > bound + 3 * math.sqrt(e.std_dev**2 + bound_var) + 1e-12:
             warnings.append(f"|{e.bra}><{e.ket}| = {e.value:.4f} exceeds bound {bound:.4f}")
     return warnings
 
@@ -330,7 +335,7 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) 
         rows = _qkd_rows(_qkd_tables_simulated(cfg, rounds))
     header = ["subspace", "qber_z", "qber_x", "qber_z_ab", "qber_z_ac",
               "key_per_round_mean", "key_per_round_pessimistic",
-              "key_per_round_published", "abs_discrepancy"]
+              "key_per_round_published", "abs_discrepancy", "n_z_sifted", "n_x_sifted"]
     table = []
     for subspace, report, rate, published in rows:
         table.append([
@@ -343,6 +348,7 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) 
             rate.rate_pessimistic,
             published,
             abs(rate.rate_mean - published) if published is not None else None,
+            *((None, None) if use_fixture else (report.n_z_sifted, report.n_x_sifted)),
         ])
     out = _out_dir(cfg)
     _write_csv(cfg, out / "qkd_report.csv", header, table)

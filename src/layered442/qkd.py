@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import DIMS_442
+from .circuit import ALL_KETS, DIMS_442
 from .hilbert import DensityOperator
 from .tomography import born_probabilities, parse_setting_label, setting_outcomes
 
@@ -50,10 +50,6 @@ PARTY_NAMES = ("A", "B", "C")
 # RNG stream tags so Z and per-layer X samples never collide.
 _Z_STREAM = 1
 _X_STREAM_BASE = 2
-
-#: Digits of every computational outcome, one row each, in ``ALL_KETS`` order.
-_Z_DIGITS = np.column_stack(np.unravel_index(np.arange(math.prod(DIMS_442)), DIMS_442))
-_Z_DIGITS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     :func:`key_map_ab` for two-party ones) differ; an X outcome is an error
     when an odd number of participants read ``-``.
     """
-    digits = _Z_DIGITS[:, layer.party_indices]
+    digits = np.array([[int(ket[p]) for p in layer.party_indices] for ket in ALL_KETS])
     k0, k1 = np.array(layer.digit_pairs).T
     key_map = key_map_abc if layer.is_tripartite else key_map_ab
     if any(key_map(a) == key_map(b) for a, b in layer.digit_pairs):
@@ -243,49 +239,31 @@ def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
 
 
 def round_tables(samples: dict, layer: LayerSpec | None = None) -> dict[str, np.ndarray]:
-    """Count tables of per-round outcomes, in the ``tomography.count_tables`` form.
+    """Count tables ``{label: counts}``, as ``tomography.count_tables`` gives, of per-round draws.
 
-    ``samples["Z"]`` holds (n, 3) computational outcome digits and
-    ``samples["X"]`` the outcome indices of ``layer``'s X setting, as
-    :func:`sample_z_rounds` and :func:`sample_x_rounds` draw them; either
-    may be absent, and ``layer`` is needed only for "X".  Returns ``{"Z":
-    32 counts in ALL_KETS order, layer.x_setting_label: counts}`` for the
-    bases given.  Empty rounds and a digit or index out of range are rejected.
+    ``samples`` maps "Z", "X" or both to outcome indices of the computational
+    setting and of ``layer``'s X setting, as :func:`sample_z_rounds` and
+    :func:`sample_x_rounds` draw them.  Empty rounds and an index out of
+    range are rejected.
     """
-    arrays = {basis: np.asarray(samples[basis], dtype=int) for basis in ("Z", "X")
-              if basis in samples}
-    if any(a.size == 0 for a in arrays.values()):
-        raise ValueError("empty sample set")
     tables = {}
-    if "Z" in arrays:
-        z = arrays["Z"]
-        if z.ndim != 2 or z.shape[1] != len(DIMS_442):
-            raise ValueError(f"Z rounds must be an (n, {len(DIMS_442)}) digit array, got {z.shape}")
-        try:
-            flat = np.ravel_multi_index(z.T, DIMS_442)
-        except ValueError:
-            for party, column, d in zip(PARTY_NAMES, z.T, DIMS_442):
-                if column.min() < 0 or column.max() >= d:
-                    raise ValueError(f"Z digit of party {party} outside [0, {d})") from None
-            raise
-        tables["Z"] = np.bincount(flat, minlength=math.prod(DIMS_442))
-    if "X" in arrays:
-        x = arrays["X"]
-        n_x = _layer_weights(layer)[2].shape[1]
-        if x.ndim != 1 or x.min() < 0 or x.max() >= n_x:
-            raise ValueError(f"X rounds must be outcome indices in [0, {n_x}) "
-                             f"of setting {layer.x_setting_label}")
-        tables[layer.x_setting_label] = np.bincount(x, minlength=n_x)
+    for basis in ("Z", "X"):
+        if basis not in samples:
+            continue
+        label = layer.x_setting_label if basis == "X" else "Z"
+        n_outcomes = len(setting_outcomes(parse_setting_label(label)))
+        rounds = np.asarray(samples[basis], dtype=int)
+        if rounds.size == 0:
+            raise ValueError("empty sample set")
+        if rounds.ndim != 1 or rounds.min() < 0 or rounds.max() >= n_outcomes:
+            raise ValueError(f"{basis} rounds must be outcome indices in [0, {n_outcomes}) "
+                             f"of setting {label}")
+        tables[label] = np.bincount(rounds, minlength=n_outcomes)
     return tables
 
 
 def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
-    """Error rates from per-round outcomes.
-
-    ``samples`` holds "Z" digits and "X" outcome indices as
-    :func:`round_tables` takes them; the binned rounds go through
-    :func:`qbers_from_counts`.
-    """
+    """Error rates of per-round outcome indices, binned by :func:`round_tables`."""
     return qbers_from_counts(round_tables(samples, layer), layer)
 
 
@@ -353,21 +331,26 @@ def _draw_indices(p: np.ndarray, n: int, rng: np.random.Generator, label: str) -
     table = np.where(lo == cdf.searchsorted(edges[1:], "left"), lo, p.size)
     scaled = rng.random(n)
     scaled *= 4096
-    idx = table.astype(np.min_scalar_type(p.size)).take(scaled.astype(np.intp)).astype(np.int64)
+    # Small bucket and table types, and the uniforms freed before the int64 copy: a draw
+    # holds at most one n-long 8-byte array (with two, glibc trims the heap every draw).
+    idx = table.astype(np.min_scalar_type(p.size))[scaled.astype(np.uint16)]
     split = np.flatnonzero(idx == p.size)
-    idx[split] = cdf.searchsorted(scaled[split] / 4096, "right")
+    u_split = scaled[split] / 4096
+    del scaled
+    idx = idx.astype(np.int64)
+    idx[split] = cdf.searchsorted(u_split, "right")
     return idx
 
 
 def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: int) -> np.ndarray:
     """n outcome indices of a setting, Born-rule draws from the stream (seed, stream)."""
-    p = np.array(list(born_probabilities(rho, parse_setting_label(label)).values()))
+    p = born_probabilities(rho, parse_setting_label(label))
     return _draw_indices(p, n, np.random.default_rng([int(seed), stream]), label)
 
 
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:
-    """Sample (n, 3) computational outcome digits from the state."""
-    return _Z_DIGITS.take(_draw_outcomes(rho, "Z", n, seed, _Z_STREAM), axis=0)
+    """Sample n computational outcome indices (into ``ALL_KETS``) from the state."""
+    return _draw_outcomes(rho, "Z", n, seed, _Z_STREAM)
 
 
 def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -> np.ndarray:

@@ -181,17 +181,25 @@ def _party_kets(op, d: int) -> np.ndarray:
     return kets / math.sqrt(2)
 
 
-def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> dict[str, float]:
-    """Outcome probabilities of a setting on ``rho`` (Born rule)."""
-    if rho.dims != DIMS_442:
-        raise ValueError(f"state dims {rho.dims} are not {DIMS_442}")
+@functools.cache
+def _outcome_kets(setting: MeasurementSetting) -> np.ndarray:
+    """A setting's outcome kets as read-only rows: Kronecker products of the party kets."""
     ops = zip(setting.party_ops, DIMS_442)
     kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in ops])
-    probs = np.einsum("nj,jk,nk->n", kets.conj(), rho.matrix, kets).real.clip(0.0).tolist()
-    labels = setting_outcomes(setting)
-    if labels[-1] == "rest":
-        probs.append(max(0.0, 1.0 - sum(probs)))
-    return dict(zip(labels, probs))
+    kets.flags.writeable = False
+    return kets
+
+
+def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> np.ndarray:
+    """Outcome probabilities of a setting on ``rho`` (Born rule), in ``setting_outcomes`` order."""
+    if rho.dims != DIMS_442:
+        raise ValueError(f"state dims {rho.dims} are not {DIMS_442}")
+    kets = _outcome_kets(setting)
+    probs = np.einsum("nj,jk,nk->n", kets.conj(), rho.matrix, kets).real.clip(0.0)
+    if setting.label == Z_LABEL:
+        return probs
+    # Summed left to right (Python's sum): np.sum's pairwise order would change the last bits.
+    return np.append(probs, max(0.0, 1.0 - sum(probs.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +281,10 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
     records = []
     scale = plan.rate * plan.integration_time
     for index, setting in enumerate(plan.settings):
-        probs = born_probabilities(rho, setting)
         rng = np.random.default_rng([int(seed), index])
-        counts = rng.poisson(scale * np.array(list(probs.values())))
-        for (outcome, _), c in zip(probs.items(), counts):
-            records.append(CountRecord(setting.label, outcome, int(c)))
+        counts = rng.poisson(scale * born_probabilities(rho, setting))
+        records += [CountRecord(setting.label, outcome, c)
+                    for outcome, c in zip(setting_outcomes(setting), counts.tolist())]
     return records
 
 
@@ -286,8 +293,9 @@ def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecor
     records = []
     scale = plan.rate * plan.integration_time
     for setting in plan.settings:
-        for outcome, p in born_probabilities(rho, setting).items():
-            records.append(CountRecord(setting.label, outcome, scale * p))
+        probs = born_probabilities(rho, setting).tolist()
+        records += [CountRecord(setting.label, outcome, scale * p)
+                    for outcome, p in zip(setting_outcomes(setting), probs)]
     return records
 
 

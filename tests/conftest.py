@@ -25,7 +25,7 @@ def choice_draws(rho, label, n, seed, stream):
 
     The reference the round sampler must equal index for index.
     """
-    p = np.array(list(born_probabilities(rho, parse_setting_label(label)).values()))
+    p = born_probabilities(rho, parse_setting_label(label))
     return np.random.default_rng([seed, stream]).choice(p.size, size=n, p=p / p.sum())
 
 

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from layered442.circuit import (
+    DIMS_442,
     circuit_psi442,
     make_psi442,
     noisy_psi442,
@@ -166,7 +167,7 @@ def test_criterion_6_subspace_witnesses():
 
 def test_criterion_7_layer_correctness():
     rho = make_psi442().density()
-    z = sample_z_rounds(rho, 100000, seed=45)
+    z = np.column_stack(np.unravel_index(sample_z_rounds(rho, 100000, seed=45), DIMS_442))
     abc = np.vectorize(key_map_abc)(z)
     ab = np.vectorize(key_map_ab)(z[:, :2])
     agree_abc = float(np.mean((abc[:, 0] == abc[:, 1]) & (abc[:, 0] == abc[:, 2])))

@@ -4,10 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from layered442.circuit import apply_white_noise
+from layered442.circuit import apply_white_noise, noisy_psi442
 from layered442.cli import RunConfig, _write_json, main
 from layered442.hilbert import PureState
-from layered442.tomography import records_to_json, simulate_counts, standard_plan
+from layered442.qkd import LAYERS, qbers_from_counts
+from layered442.tomography import (
+    count_tables,
+    monte_carlo_errors,
+    records_from_json,
+    records_to_json,
+    simulate_counts,
+    standard_plan,
+)
 
 from conftest import flat_index
 
@@ -228,6 +236,26 @@ class TestWitness:
         warnings = _consistency_warnings(diags, offs)
         assert len(warnings) == 1 and "000" in warnings[0]
 
+    @pytest.mark.parametrize("coherence, warned", [(0.05, False), (0.055, True)])
+    def test_consistency_bound_carries_diagonal_error(self, coherence, warned):
+        from layered442.cli import _consistency_warnings
+        from layered442.witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
+
+        # bound 1/32 with sigma_B = 0.01 / sqrt(2): the 3 sigma limit is 0.0527
+        diags = [ElementEstimate(k, k, 1 / 32, 0.01) for k in ALL_KETS]
+        offs = [ElementEstimate(a, b, coherence if (a, b) == ("000", "111") else 0.0, 0.001)
+                for a, b in OFFDIAG_PAIRS]
+        assert bool(_consistency_warnings(diags, offs)) is warned
+
+    @pytest.mark.parametrize("visibility, seed", [(1.0, 0), (1.0, 12), (0.8493, 10)])
+    def test_honest_runs_raise_no_consistency_warning(self, visibility, seed):
+        # The coherence-only 3 sigma rule flagged each of these honest runs.
+        from layered442.cli import _consistency_warnings
+
+        records = simulate_counts(noisy_psi442(visibility), standard_plan(), seed)
+        result = monte_carlo_errors(records, trials=200, seed=seed)
+        assert _consistency_warnings(result.diagonals, result.offdiagonals) == []
+
     def test_deterministic_outputs(self, tmp_path):
         _, out1 = run(tmp_path / "a", "--trials", "100", "witness")
         _, out2 = run(tmp_path / "b", "--trials", "100", "witness")
@@ -380,6 +408,8 @@ class TestQkd:
         assert rows[2]["qber_z_ab"] == ""
         for r in rows:
             assert float(r["abs_discrepancy"]) < 0.06
+            # the published table gives no sift counts
+            assert r["n_z_sifted"] == r["n_x_sifted"] == ""
 
     def test_noiseless_simulation_unit_rates(self, tmp_path):
         code, out = run(tmp_path, "--visibility", "1.0", "qkd", "--rounds", "20000")
@@ -396,6 +426,14 @@ class TestQkd:
         rows = read_csv(out / "qkd_report.csv")
         assert len(rows) == 4
         assert all(r["key_per_round_published"] == "" for r in rows)
+        # the sift counts trail the published columns
+        assert list(rows[0])[-4:] == ["key_per_round_published", "abs_discrepancy",
+                                      "n_z_sifted", "n_x_sifted"]
+        tables = count_tables(records_from_json(out / "counts.json"))
+        for r, layer in zip(rows, LAYERS):
+            report = qbers_from_counts(tables, layer)
+            assert (int(r["n_z_sifted"]), int(r["n_x_sifted"])) == (report.n_z_sifted,
+                                                                    report.n_x_sifted)
 
     def test_negative_rounds_rejected(self, tmp_path, capsys):
         code, out = run(tmp_path, "qkd", "--rounds", "-1")

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layered442 import qkd
-from layered442.circuit import make_psi442, noisy_psi442
+from layered442.circuit import DIMS_442, make_psi442, noisy_psi442
 from layered442.fixtures import load_measured_qkd_rows, qber_report_from_row
 from layered442.qkd import (
     LAYERS,
@@ -190,7 +190,7 @@ class TestComputeQbers:
         tables = {}
         for label in ("Z", LAYERS[0].x_setting_label):
             setting = parse_setting_label(label)
-            tables[label] = np.array(list(born_probabilities(rho, setting).values()))
+            tables[label] = born_probabilities(rho, setting)
         rep = qbers_from_counts(tables, LAYERS[0])
         qz_expect = (6 * (1 - v) / 32) / (v / 2 + 8 * (1 - v) / 32)
         qx_expect = (1 - v) / (2 * (v + 1))
@@ -207,12 +207,12 @@ class TestComputeQbers:
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            compute_qbers({"Z": np.empty((0, 3)), "X": np.empty((0, 3))}, LAYERS[0])
+            compute_qbers({"Z": np.empty(0), "X": np.empty(0)}, LAYERS[0])
 
     @pytest.mark.parametrize("basis, index, value, message", [
-        ("Z", np.s_[:100, 0], 7, r"party A outside \[0, 4\)"),
-        ("Z", np.s_[:100, 1], -1, r"party B outside \[0, 4\)"),
-        ("Z", np.s_[:100, 2], 2, r"party C outside \[0, 2\)"),
+        ("Z", np.s_[:100], 32, r"Z rounds must be outcome indices in \[0, 32\) of setting Z"),
+        ("Z", np.s_[:100], -1, r"Z rounds must be outcome indices in \[0, 32\) of setting Z"),
+        ("Z", np.s_[-1:], 40, r"Z rounds must be outcome indices in \[0, 32\) of setting Z"),
         ("X", np.s_[:100], 9, r"\[0, 9\) of setting X01-X01-X01"),
         ("X", np.s_[:100], -1, r"\[0, 9\) of setting X01-X01-X01"),
     ])
@@ -292,7 +292,7 @@ class TestOutcomeDraws:
 class TestIdealCorrelations:
     def test_key_agreement_and_independence(self):
         rho = make_psi442().density()
-        z = sample_z_rounds(rho, 100000, seed=8)
+        z = np.column_stack(np.unravel_index(sample_z_rounds(rho, 100000, seed=8), DIMS_442))
         abc_bits = np.vectorize(key_map_abc)(z)
         assert np.all(abc_bits[:, 0] == abc_bits[:, 1])
         assert np.all(abc_bits[:, 0] == abc_bits[:, 2])
@@ -303,7 +303,7 @@ class TestIdealCorrelations:
 
     def test_k_ab_uniform_given_c(self):
         rho = make_psi442().density()
-        z = sample_z_rounds(rho, 100000, seed=9)
+        z = np.column_stack(np.unravel_index(sample_z_rounds(rho, 100000, seed=9), DIMS_442))
         bits = np.vectorize(key_map_ab)(z[:, 0])
         for c in (0, 1):
             sel = bits[z[:, 2] == c]

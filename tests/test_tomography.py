@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442, noisy_psi442
 from layered442.hilbert import DensityOperator, fidelity_pure, haar_random_state
+from layered442.qkd import LAYERS
 from layered442.tomography import (
     ELEMENT_PLANS,
     MissingSettingError,
@@ -19,6 +20,7 @@ from layered442.tomography import (
     parse_setting_label,
     records_from_json,
     records_to_json,
+    required_settings,
     setting_outcomes,
     simulate_counts,
     standard_plan,
@@ -95,32 +97,34 @@ class TestBornProbabilities:
     def test_ideal_computational(self):
         probs = born_probabilities(make_psi442().density(), parse_setting_label("Z"))
         for ket in ("000", "111", "220", "331"):
-            assert abs(probs[ket] - 0.25) < 1e-12
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-        assert probs["100"] == 0.0
+            assert abs(probs[flat_index(ket)] - 0.25) < 1e-12
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs[flat_index("100")] == 0.0
 
     def test_maximally_mixed_uniform(self):
         rho = DensityOperator((4, 4, 2), np.eye(32) / 32)
         probs = born_probabilities(rho, parse_setting_label("Z"))
-        assert all(abs(p - 1 / 32) < 1e-12 for p in probs.values())
+        assert probs.shape == (32,)
+        assert np.all(np.abs(probs - 1 / 32) < 1e-12)
 
     def test_sigma_x_parity_on_first_layer(self):
         # <sigma_x sigma_x sigma_x> on levels (0,1): parity sum is +1/2 of
         # the full population for the ideal state (dense-oracle value).
-        probs = born_probabilities(make_psi442().density(), parse_setting_label("X01-X01-X01"))
+        setting = parse_setting_label("X01-X01-X01")
+        *probs, rest = born_probabilities(make_psi442().density(), setting)
         parity = sum(
             p * math.prod(1 if c == "+" else -1 for c in outcome)
-            for outcome, p in probs.items() if outcome != "rest"
+            for outcome, p in zip(setting_outcomes(setting), probs)
         )
         assert abs(parity - 0.5) < 1e-12
-        assert abs(probs["rest"] - 0.5) < 1e-12
+        assert abs(rest - 0.5) < 1e-12
 
     def test_probabilities_sum_to_one(self, rng):
         rho = random_density((4, 4, 2), rng)
         for setting in standard_plan().settings:
             probs = born_probabilities(rho, setting)
-            assert abs(sum(probs.values()) - 1.0) < 1e-10
-            assert all(p >= 0 for p in probs.values())
+            assert abs(probs.sum() - 1.0) < 1e-10
+            assert np.all(probs >= 0)
 
     def test_invalid_setting_rejected(self, rng):
         rho = random_density((2, 2), rng)
@@ -150,13 +154,33 @@ def test_born_probabilities_match_dense_oracle(seed):
     rho = random_density((4, 4, 2), np.random.default_rng(seed))
     for setting in standard_plan().settings:
         probs = born_probabilities(rho, setting)
-        assert list(probs) == list(setting_outcomes(setting))
-        expected = {o: np.vdot(oracle_ket(setting, o), rho.matrix @ oracle_ket(setting, o)).real
-                    for o in probs if o != "rest"}
-        if "rest" in probs:
-            expected["rest"] = 1.0 - sum(expected.values())
-        for outcome, p in probs.items():
-            assert abs(p - expected[outcome]) < 1e-12, (setting.label, outcome)
+        outcomes = setting_outcomes(setting)
+        expected = [np.vdot(oracle_ket(setting, o), rho.matrix @ oracle_ket(setting, o)).real
+                    for o in outcomes if o != "rest"]
+        if outcomes[-1] == "rest":
+            expected.append(1.0 - sum(expected))
+        assert probs.shape == (len(outcomes),)
+        for outcome, p, q in zip(outcomes, probs, expected):
+            assert abs(p - q) < 1e-12, (setting.label, outcome)
+
+
+@pytest.mark.parametrize("label", list(dict.fromkeys(
+    required_settings() + tuple(layer.x_setting_label for layer in LAYERS))))
+def test_born_array_order_is_setting_outcomes(label):
+    """The state of one outcome's ket gives probability 1 at that outcome's position."""
+    setting = parse_setting_label(label)
+    outcomes = setting_outcomes(setting)
+    for index, outcome in enumerate(outcomes):
+        if outcome == "rest":
+            # Party A is a sigma party of every correlator setting: a level
+            # outside its pair puts the state outside the setting's subspace.
+            _, a, b = setting.party_ops[0]
+            ket = np.eye(32)[flat_index(f"{min({0, 1, 2, 3} - {a, b})}00")]
+        else:
+            ket = oracle_ket(setting, outcome)
+        rho = DensityOperator((4, 4, 2), np.outer(ket, ket.conj()))
+        probs = born_probabilities(rho, setting)
+        assert np.all(np.abs(probs - np.eye(len(outcomes))[index]) < 1e-12), (label, outcome)
 
 
 @settings(max_examples=25, deadline=None)
