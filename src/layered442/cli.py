@@ -40,9 +40,9 @@ class RunConfig:
     """Run parameters shared by all subcommands."""
 
     seed: int = 1234
-    visibility: float = 0.8493
-    rate: float = 0.66
-    integration_time: float = 1800.0
+    visibility: float = fixtures.REFERENCE_EXPERIMENT["matched_visibility"]
+    rate: float = fixtures.REFERENCE_EXPERIMENT["counting_rate_per_s"]
+    integration_time: float = fixtures.REFERENCE_EXPERIMENT["integration_time_s"]
     monte_carlo_trials: int = 1000
     out_dir: str = "out"
     no_timestamp: bool = False
@@ -73,33 +73,20 @@ class RunConfig:
 
 
 def _load_config(args) -> RunConfig:
+    """The config file's values, overridden by each global flag given.
+
+    Every global flag's ``dest`` is the name of the field it sets.
+    """
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                file_values = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"config file {args.config} nests JSON too deeply "
-                                 "to parse") from None
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file must be a JSON object, got {type(file_values).__name__}")
-        unknown = set(file_values) - set(RunConfig.__dataclass_fields__)
+        values = tomography._read_json(args.config, "config file")
+        if not isinstance(values, dict):
+            raise ValueError(f"config file must be a JSON object, got {type(values).__name__}")
+        unknown = set(values) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
-    overrides = {
-        "seed": args.seed,
-        "visibility": args.visibility,
-        "rate": args.rate,
-        "integration_time": args.time,
-        "monte_carlo_trials": args.trials,
-        "out_dir": args.out,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.no_timestamp:
-        values["no_timestamp"] = True
+    values.update({key: value for key, value in vars(args).items()
+                   if key in RunConfig.__dataclass_fields__ and value is not None})
     return RunConfig(**values)
 
 
@@ -156,7 +143,7 @@ def _monte_carlo(cfg: RunConfig, counts_path) -> tomography.MonteCarloResult:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_state(cfg: RunConfig) -> int:
+def cmd_gen_state(cfg: RunConfig, args) -> int:
     fused, layered = circuit.circuit_psi442()
     closed = circuit.make_psi442()
     mismatch = float(np.max(np.abs(layered.state.amplitudes - closed.amplitudes)))
@@ -185,23 +172,23 @@ def cmd_gen_state(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_counts(cfg: RunConfig) -> int:
-    plan = tomography.standard_plan(cfg.rate, cfg.integration_time)
-    records = tomography.simulate_counts(circuit.noisy_psi442(cfg.visibility), plan, cfg.seed)
+def cmd_simulate_counts(cfg: RunConfig, args) -> int:
+    records = _records(cfg, None)
+    labels = tomography.required_settings()
     out = _out_dir(cfg)
     tomography.records_to_json(records, out / "counts.json")
     _write_json(cfg, out / "counts.meta.json", {
-        "settings": [s.label for s in plan.settings],
+        "settings": list(labels),
         "records": len(records),
         "total_counts": sum(r.counts for r in records),
     })
-    print(f"wrote {len(records)} count records for {len(plan.settings)} settings "
+    print(f"wrote {len(records)} count records for {len(labels)} settings "
           f"to {out / 'counts.json'}")
     return EXIT_OK
 
 
-def cmd_estimate(cfg: RunConfig, counts_path) -> int:
-    result = _monte_carlo(cfg, counts_path)
+def cmd_estimate(cfg: RunConfig, args) -> int:
+    result = _monte_carlo(cfg, args.counts)
     out = _out_dir(cfg)
     rows = [(e.bra, e.value, e.std_dev) for e in result.diagonals]
     rows += [(f"{e.bra}|{e.ket}", e.value, e.std_dev) for e in result.offdiagonals]
@@ -227,14 +214,14 @@ def _consistency_warnings(diagonals, offdiagonals):
     return warnings
 
 
-def cmd_witness(cfg: RunConfig, counts_path, use_fixture: bool) -> int:
-    if use_fixture:
+def cmd_witness(cfg: RunConfig, args) -> int:
+    if args.fixture:
         diagonals, offdiagonals = fixtures.load_measured_elements()
         fidelity = witness.fidelity_from_elements(diagonals, offdiagonals)
         fidelity_std = fixtures.REFERENCE_EXPERIMENT["fidelity_std"]
         trials = 0
     else:
-        result = _monte_carlo(cfg, counts_path)
+        result = _monte_carlo(cfg, args.counts)
         diagonals, offdiagonals = result.diagonals, result.offdiagonals
         fidelity, fidelity_std = result.fidelity, result.fidelity_std
         trials = result.trials
@@ -262,17 +249,17 @@ def cmd_witness(cfg: RunConfig, counts_path, use_fixture: bool) -> int:
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
 
-def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
-    pair = tuple(sorted(kets))
+def cmd_subspace(cfg: RunConfig, args) -> int:
+    pair = tuple(sorted(args.kets))
     if pair not in witness.OFFDIAG_PAIRS:
-        print(f"error: {kets} is not a pair of distinct signal kets "
+        print(f"error: {args.kets} is not a pair of distinct signal kets "
               f"{witness.SIGNAL_KETS}", file=sys.stderr)
         return EXIT_USAGE
     published = fixtures.load_measured_subspace_fidelities().get(pair)
-    if use_fixture:
+    if args.fixture:
         value, std = published
     else:
-        value, std = tomography.subspace_monte_carlo(_records(cfg, counts_path), pair,
+        value, std = tomography.subspace_monte_carlo(_records(cfg, args.counts), pair,
                                                      cfg.monte_carlo_trials, cfg.seed)
         if math.isnan(value):
             raise ValueError(f"subspace ({pair[0]}, {pair[1]}) has zero population: "
@@ -296,15 +283,6 @@ def cmd_subspace(cfg: RunConfig, kets, counts_path, use_fixture: bool) -> int:
     return EXIT_OK if witnessed else EXIT_NOT_CERTIFIED
 
 
-def _qkd_rows_fixture():
-    rows = []
-    for row in fixtures.load_measured_qkd_rows():
-        report = fixtures.qber_report_from_row(row)
-        rate = qkd.asymptotic_key_rate(report)
-        rows.append((row["subspace"], report, rate, row["key_per_round"]))
-    return rows
-
-
 def _qkd_tables_simulated(cfg: RunConfig, rounds: int) -> dict:
     """Count tables of simulated rounds; each basis is drawn once and binned as soon as drawn."""
     rho = circuit.noisy_psi442(cfg.visibility)
@@ -315,29 +293,27 @@ def _qkd_tables_simulated(cfg: RunConfig, rounds: int) -> dict:
     return tables
 
 
-def _qkd_rows(tables: dict):
-    rows = []
-    for layer in qkd.LAYERS:
-        report = qkd.qbers_from_counts(tables, layer)
-        rows.append(("/".join(layer.signal_kets), report, qkd.asymptotic_key_rate(report), None))
-    return rows
-
-
-def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) -> int:
-    if use_fixture:
-        rows = _qkd_rows_fixture()
-    elif counts_path:
-        rows = _qkd_rows(tomography.count_tables(tomography.records_from_json(counts_path)))
+def cmd_qkd(cfg: RunConfig, args) -> int:
+    """Rows (subspace, QBER report, published rate) from one source, then one rate per row."""
+    if args.fixture:
+        rows = [(row["subspace"], fixtures.qber_report_from_row(row), row["key_per_round"])
+                for row in fixtures.load_measured_qkd_rows()]
     else:
-        rounds = 100000 if rounds is None else rounds
-        if rounds < 1:
-            raise ValueError(f"--rounds must be >= 1, got {rounds}")
-        rows = _qkd_rows(_qkd_tables_simulated(cfg, rounds))
+        if args.counts:
+            tables = tomography.count_tables(tomography.records_from_json(args.counts))
+        else:
+            rounds = 100000 if args.rounds is None else args.rounds
+            if rounds < 1:
+                raise ValueError(f"--rounds must be >= 1, got {rounds}")
+            tables = _qkd_tables_simulated(cfg, rounds)
+        rows = [("/".join(layer.signal_kets), qkd.qbers_from_counts(tables, layer), None)
+                for layer in qkd.LAYERS]
     header = ["subspace", "qber_z", "qber_x", "qber_z_ab", "qber_z_ac",
               "key_per_round_mean", "key_per_round_pessimistic",
               "key_per_round_published", "abs_discrepancy", "n_z_sifted", "n_x_sifted"]
     table = []
-    for subspace, report, rate, published in rows:
+    for subspace, report, published in rows:
+        rate = qkd.asymptotic_key_rate(report)
         table.append([
             subspace,
             report.qber_z,
@@ -348,7 +324,7 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) 
             rate.rate_pessimistic,
             published,
             abs(rate.rate_mean - published) if published is not None else None,
-            *((None, None) if use_fixture else (report.n_z_sifted, report.n_x_sifted)),
+            *((None, None) if args.fixture else (report.n_z_sifted, report.n_x_sifted)),
         ])
     out = _out_dir(cfg)
     _write_csv(cfg, out / "qkd_report.csv", header, table)
@@ -358,11 +334,11 @@ def cmd_qkd(cfg: RunConfig, counts_path, use_fixture: bool, rounds: int | None) 
     return EXIT_OK
 
 
-def cmd_fmax(cfg: RunConfig, ranks, restarts: int) -> int:
-    if restarts < 0:
-        raise ValueError(f"--restarts must be >= 0 (0 skips the search), got {restarts}")
+def cmd_fmax(cfg: RunConfig, args) -> int:
+    if args.restarts < 0:
+        raise ValueError(f"--restarts must be >= 0 (0 skips the search), got {args.restarts}")
     target = circuit.make_psi442()
-    cls = witness.RankVectorClass(tuple(ranks))
+    cls = witness.RankVectorClass(tuple(args.ranks))
     bound = witness.fmax_class_bound(target, cls)
     per_cut = {
         f"party_{p}_rank_{cap}": witness.max_overlap_bounded_rank(target, (p,), cap)
@@ -377,10 +353,10 @@ def cmd_fmax(cfg: RunConfig, ranks, restarts: int) -> int:
         "reference_bound": fixtures.REFERENCE_EXPERIMENT["dimensionality_bound"],
     }
     status = EXIT_OK
-    if restarts > 0:
-        overlaps = witness.search_class_overlap(target, cls, restarts, cfg.seed)
+    if args.restarts > 0:
+        overlaps = witness.search_class_overlap(target, cls, args.restarts, cfg.seed)
         payload["search"] = {
-            "restarts": restarts,
+            "restarts": args.restarts,
             "max_overlap": float(overlaps.max()),
             "min_overlap": float(overlaps.min()),
             "within_bound": bool(overlaps.max() <= bound + 1e-6),
@@ -393,8 +369,8 @@ def cmd_fmax(cfg: RunConfig, ranks, restarts: int) -> int:
     out = _out_dir(cfg)
     _write_json(cfg, out / "fmax_report.json", payload)
     print(f"class {tuple(cls.ranks)} bound: {bound:.6f}"
-          + (f", search max over {restarts} restarts: {payload['search']['max_overlap']:.6f}"
-             if restarts > 0 else ""))
+          + (f", search max over {args.restarts} restarts: "
+             f"{payload['search']['max_overlap']:.6f}" if args.restarts > 0 else ""))
     return status
 
 
@@ -411,45 +387,48 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--seed", type=int, help="RNG seed (default 1234)")
     parser.add_argument("--visibility", type=float, help="white-noise visibility in [0,1]")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials for error bars")
+    parser.add_argument("--trials", dest="monte_carlo_trials", metavar="TRIALS", type=int,
+                        help="Monte Carlo trials for error bars")
     parser.add_argument("--rate", type=float, help="coincidence rate per second")
-    parser.add_argument("--time", type=float, help="integration time per setting (s)")
-    parser.add_argument("--out", help="output directory (default ./out)")
-    parser.add_argument("--no-timestamp", action="store_true",
+    parser.add_argument("--time", dest="integration_time", metavar="TIME", type=float,
+                        help="integration time per setting (s)")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory (default ./out)")
+    parser.add_argument("--no-timestamp", action="store_true", default=None,
                         help="omit timestamps for byte-identical reruns")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-state", help="build the state, check circuit vs closed form")
-    p.set_defaults(run=lambda cfg, args: cmd_gen_state(cfg))
+    p.set_defaults(run=cmd_gen_state)
     p = sub.add_parser("simulate-counts", help="simulate Poissonian counts for the witness plan")
-    p.set_defaults(run=lambda cfg, args: cmd_simulate_counts(cfg))
+    p.set_defaults(run=cmd_simulate_counts)
 
     p = sub.add_parser("estimate", help="estimate density-matrix elements from counts")
-    p.set_defaults(run=lambda cfg, args: cmd_estimate(cfg, args.counts))
+    p.set_defaults(run=cmd_estimate)
     p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
 
     p = sub.add_parser("witness", help="dimensionality witness report")
-    p.set_defaults(run=lambda cfg, args: cmd_witness(cfg, args.counts, args.fixture))
+    p.set_defaults(run=cmd_witness)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published element record")
 
     p = sub.add_parser("subspace", help="two-level subspace GHZ fidelity")
-    p.set_defaults(run=lambda cfg, args: cmd_subspace(cfg, args.kets, args.counts, args.fixture))
+    p.set_defaults(run=cmd_subspace)
     p.add_argument("kets", nargs=2, help="two signal kets, e.g. 000 111")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published fidelities")
 
     p = sub.add_parser("qkd", help="per-layer QBERs and key rates")
-    p.set_defaults(run=lambda cfg, args: cmd_qkd(cfg, args.counts, args.fixture, args.rounds))
+    p.set_defaults(run=cmd_qkd)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON")
     source.add_argument("--fixture", action="store_true", help="use the published QKD table")
     source.add_argument("--rounds", type=int, help="simulated rounds per basis (default 100000)")
 
     p = sub.add_parser("fmax", help="dimensionality class bound (and optional search)")
-    p.set_defaults(run=lambda cfg, args: cmd_fmax(cfg, args.ranks, args.restarts))
+    p.set_defaults(run=cmd_fmax)
     p.add_argument("--ranks", type=int, nargs=3, default=(4, 3, 2), help="class rank caps")
     p.add_argument("--restarts", type=int, default=0, help="stochastic search restarts")
     return parser
@@ -459,7 +438,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(_load_config(args), args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -202,42 +202,6 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     return pair_keys, z_weights, x_weights
 
 
-def _count_qbers(z_counts, x_counts, layer: LayerSpec) -> QberReport:
-    """Error rates from Z and X counts in canonical outcome order, through the layer weights."""
-    pair_keys, z_weights, x_weights = _layer_weights(layer)
-    for label, counts, weights in (("Z", z_counts, z_weights),
-                                   (layer.x_setting_label, x_counts, x_weights)):
-        if np.shape(counts) != weights.shape[1:]:
-            raise ValueError(f"setting {label!r} needs {weights.shape[1]} counts in canonical "
-                             f"outcome order, got shape {np.shape(counts)}")
-    total_z, err_z, *pair_errs = (z_weights @ z_counts).tolist()
-    if total_z <= 0:
-        raise ValueError(f"no Z counts in layer {layer.layer_id}")
-    total_x, err_x = (x_weights @ x_counts).tolist()
-    if total_x <= 0:
-        raise ValueError(f"no X counts in layer {layer.layer_id}")
-    qber_z = err_z / total_z
-    qber_x = err_x / total_x
-    extra = {}
-    for key, err in zip(pair_keys, pair_errs):
-        q = err / total_z
-        extra[f"qber_z_{key}"] = q
-        extra[f"qber_z_{key}_std"] = _binomial_std(q, int(total_z))
-
-    return QberReport(
-        layer_id=layer.layer_id,
-        qber_z=qber_z,
-        qber_z_std=_binomial_std(qber_z, int(total_z)),
-        qber_x=qber_x,
-        qber_x_std=_binomial_std(qber_x, int(total_x)),
-        n_z_sifted=int(total_z),
-        n_x_sifted=int(total_x),
-        sift_fraction_z=total_z / float(z_counts.sum()),
-        sift_fraction_x=total_x / float(x_counts.sum()),
-        **extra,
-    )
-
-
 def round_tables(samples: dict, layer: LayerSpec | None = None) -> dict[str, np.ndarray]:
     """Count tables ``{label: counts}``, as ``tomography.count_tables`` gives, of per-round draws.
 
@@ -272,14 +236,46 @@ def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:
 
     ``count_tables`` maps setting labels to counts in canonical outcome
     order, as :func:`layered442.tomography.count_tables` returns them; it
-    must contain "Z" and the layer's X setting.
+    must contain "Z" and the layer's X setting.  Every rate is a dot product
+    of a table with the layer's weights.
     """
     if "Z" not in count_tables:
         raise ValueError("missing computational setting 'Z' in counts")
     x_label = layer.x_setting_label
     if x_label not in count_tables:
         raise ValueError(f"missing setting {x_label!r} for layer {layer.layer_id}")
-    return _count_qbers(count_tables["Z"], count_tables[x_label], layer)
+    pair_keys, z_weights, x_weights = _layer_weights(layer)
+    z_counts, x_counts = count_tables["Z"], count_tables[x_label]
+    for label, counts, weights in (("Z", z_counts, z_weights), (x_label, x_counts, x_weights)):
+        if np.shape(counts) != weights.shape[1:]:
+            raise ValueError(f"setting {label!r} needs {weights.shape[1]} counts in canonical "
+                             f"outcome order, got shape {np.shape(counts)}")
+    total_z, err_z, *pair_errs = (z_weights @ z_counts).tolist()
+    if total_z <= 0:
+        raise ValueError(f"no Z counts in layer {layer.layer_id}")
+    total_x, err_x = (x_weights @ x_counts).tolist()
+    if total_x <= 0:
+        raise ValueError(f"no X counts in layer {layer.layer_id}")
+    qber_z = err_z / total_z
+    qber_x = err_x / total_x
+    extra = {}
+    for key, err in zip(pair_keys, pair_errs):
+        q = err / total_z
+        extra[f"qber_z_{key}"] = q
+        extra[f"qber_z_{key}_std"] = _binomial_std(q, int(total_z))
+
+    return QberReport(
+        layer_id=layer.layer_id,
+        qber_z=qber_z,
+        qber_z_std=_binomial_std(qber_z, int(total_z)),
+        qber_x=qber_x,
+        qber_x_std=_binomial_std(qber_x, int(total_x)),
+        n_z_sifted=int(total_z),
+        n_x_sifted=int(total_x),
+        sift_fraction_z=total_z / float(z_counts.sum()),
+        sift_fraction_x=total_x / float(x_counts.sum()),
+        **extra,
+    )
 
 
 def asymptotic_key_rate(report: QberReport) -> LayerKeyReport:

@@ -281,8 +281,11 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
     records = []
     scale = plan.rate * plan.integration_time
     for index, setting in enumerate(plan.settings):
-        rng = np.random.default_rng([int(seed), index])
-        counts = rng.poisson(scale * born_probabilities(rho, setting))
+        means = scale * born_probabilities(rho, setting)
+        if not means.max() <= _POISSON_LAM_MAX:
+            raise ValueError(f"setting {setting.label!r} has a mean count of {means.max():.10g}; "
+                             f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
+        counts = np.random.default_rng([int(seed), index]).poisson(means)
         records += [CountRecord(setting.label, outcome, c)
                     for outcome, c in zip(setting_outcomes(setting), counts.tolist())]
     return records
@@ -305,12 +308,23 @@ def records_to_json(records, path):
         fh.write("\n")
 
 
+def _read_json(path, role: str):
+    """The JSON value in the file at ``path``.
+
+    A file that does not parse raises a ValueError that names it as ``role``
+    (e.g. "count file") and gives the cause.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{role} {path} nests JSON too deeply to parse") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{role} {path} is not valid JSON: {exc}") from None
+
+
 def records_from_json(path) -> list[CountRecord]:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"count file {path} nests JSON too deeply to parse") from None
+    data = _read_json(path, "count file")
     if not isinstance(data, list):
         raise ValueError("count file must be a JSON array of records")
     records = []

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from layered442.circuit import apply_white_noise, noisy_psi442
-from layered442.cli import RunConfig, _write_json, main
+from layered442.cli import RunConfig, _build_parser, _load_config, _write_json, main
+from layered442.fixtures import REFERENCE_EXPERIMENT
 from layered442.hilbert import PureState
 from layered442.qkd import LAYERS, qbers_from_counts
 from layered442.tomography import (
@@ -526,7 +527,79 @@ def test_deeply_nested_json_rejected(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [b'{"seed": 3,', b'{"seed": 3,}', b"\xff{}"],
+                         ids=["cut-off", "trailing-comma", "byte-0xff"])
+@pytest.mark.parametrize("args, role", [
+    (("--config", "{path}", "witness"), "config file"),
+    (("witness", "--counts", "{path}"), "count file"),
+    (("subspace", "000", "111", "--counts", "{path}"), "count file"),
+    (("qkd", "--counts", "{path}"), "count file"),
+], ids=["config", "witness-counts", "subspace-counts", "qkd-counts"])
+def test_unparsable_json_names_the_file(tmp_path, capsys, text, args, role):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    code, out = run(tmp_path, *(a.format(path=path) for a in args))
+    assert code == 2
+    assert f"error: {role} {path} is not valid JSON: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulated_mean_above_poisson_limit_rejected(tmp_path, capsys):
+    code, out = run(tmp_path, "--rate", "1e15", "--time", "1e5", "simulate-counts")
+    assert code == 2
+    assert not (out / "counts.json").exists()
+    err = capsys.readouterr().err
+    assert "setting 'Z' has a mean count of 2.17034375e+19; " in err
+    assert "numpy's Poisson sampler draws at most 9.223372006e+18" in err
+
+
+# Each global flag, its RunConfig field, the config file's value and the flag's value.
+FLAG_KEYS = [
+    ("--seed", "seed", 7, "11"),
+    ("--visibility", "visibility", 0.3, "0.9"),
+    ("--trials", "monte_carlo_trials", 50, "200"),
+    ("--rate", "rate", 0.5, "0.25"),
+    ("--time", "integration_time", 900.0, "60"),
+    ("--out", "out_dir", "from-file", "from-flag"),
+    ("--no-timestamp", "no_timestamp", False, None),
+]
+
+
 class TestConfig:
+    @pytest.mark.parametrize("flag, key, file_value, flag_value", FLAG_KEYS,
+                             ids=[flag for flag, *_ in FLAG_KEYS])
+    def test_each_flag_overrides_its_config_key(self, tmp_path, flag, key, file_value,
+                                                flag_value):
+        cfg = tmp_path / "cfg.json"
+        file_values = {k: v for _, k, v, _ in FLAG_KEYS}
+        cfg.write_text(json.dumps(file_values))
+        given = [flag] if flag_value is None else [flag, flag_value]
+        loaded = _load_config(_build_parser().parse_args(["--config", str(cfg), *given, "fmax"]))
+        expected = RunConfig(**file_values)
+        setattr(expected, key, True if flag_value is None else type(file_value)(flag_value))
+        assert loaded == expected
+
+    def test_absent_no_timestamp_keeps_config_value(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"no_timestamp": True}))
+        assert _load_config(_build_parser().parse_args(["--config", str(cfg), "fmax"])).no_timestamp
+
+    def test_help_names_flag_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for text in ("--time TIME", "--trials TRIALS", "--out OUT", "[--no-timestamp]"):
+            assert text in usage
+
+    def test_defaults_are_the_reference_operating_point(self):
+        cfg, plan = RunConfig(), standard_plan()
+        assert (cfg.visibility, cfg.rate, cfg.integration_time) == (
+            REFERENCE_EXPERIMENT["matched_visibility"],
+            REFERENCE_EXPERIMENT["counting_rate_per_s"],
+            REFERENCE_EXPERIMENT["integration_time_s"])
+        assert (plan.rate, plan.integration_time) == (cfg.rate, cfg.integration_time)
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"visibility": 0.3, "seed": 7}))
