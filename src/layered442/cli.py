@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -58,6 +59,8 @@ class RunConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not abs(value) <= sys.float_info.max):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+            # A config file's 900 and the flag's 900.0 make the same report bytes.
+            setattr(self, key, float(value))
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.no_timestamp, bool):
@@ -379,7 +382,9 @@ def cmd_fmax(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing reads it and changes none of its defaults."""
     parser = argparse.ArgumentParser(
         prog="layered442",
         description="Simulate, certify and analyze the layered three-photon (4,4,2) state.",
@@ -398,37 +403,30 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="omit timestamps for byte-identical reruns")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-state", help="build the state, check circuit vs closed form")
-    p.set_defaults(run=cmd_gen_state)
-    p = sub.add_parser("simulate-counts", help="simulate Poissonian counts for the witness plan")
-    p.set_defaults(run=cmd_simulate_counts)
+    sub.add_parser("gen-state", help="build the state, check circuit vs closed form")
+    sub.add_parser("simulate-counts", help="simulate Poissonian counts for the witness plan")
 
     p = sub.add_parser("estimate", help="estimate density-matrix elements from counts")
-    p.set_defaults(run=cmd_estimate)
     p.add_argument("--counts", help="counts JSON (default: simulate with the config)")
 
     p = sub.add_parser("witness", help="dimensionality witness report")
-    p.set_defaults(run=cmd_witness)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published element record")
 
     p = sub.add_parser("subspace", help="two-level subspace GHZ fidelity")
-    p.set_defaults(run=cmd_subspace)
     p.add_argument("kets", nargs=2, help="two signal kets, e.g. 000 111")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON (default: simulate with the config)")
     source.add_argument("--fixture", action="store_true", help="use the published fidelities")
 
     p = sub.add_parser("qkd", help="per-layer QBERs and key rates")
-    p.set_defaults(run=cmd_qkd)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--counts", help="counts JSON")
     source.add_argument("--fixture", action="store_true", help="use the published QKD table")
     source.add_argument("--rounds", type=int, help="simulated rounds per basis (default 100000)")
 
     p = sub.add_parser("fmax", help="dimensionality class bound (and optional search)")
-    p.set_defaults(run=cmd_fmax)
     p.add_argument("--ranks", type=int, nargs=3, default=(4, 3, 2), help="class rank caps")
     p.add_argument("--restarts", type=int, default=0, help="stochastic search restarts")
     return parser
@@ -436,8 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up by name on each call: the cached parser holds no command function.
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.run(_load_config(args), args)
+        return run(_load_config(args), args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -113,13 +113,17 @@ class CountRecord:
 
     def __post_init__(self):
         c = self.counts
-        where = f"counts for setting {self.setting!r} outcome {self.outcome!r}"
+        # Plain ints and floats skip the slower ABC check; a bool is an int but no count.
+        real = type(c) in (int, float) or (not isinstance(c, bool) and isinstance(c, numbers.Real))
         # Compared, not converted: a huge int is finite but overflows a float.
-        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0 <= c < math.inf:
-            raise ValueError(f"{where} must be a finite non-negative number, got {c!r}")
+        if not (real and 0 <= c < math.inf):
+            raise self._invalid("a finite non-negative number")
         if c > _POISSON_LAM_MAX:
-            raise ValueError(f"{where} must be at most {_POISSON_LAM_MAX:.10g} "
-                             f"to be resampled, got {c!r}")
+            raise self._invalid(f"at most {_POISSON_LAM_MAX:.10g} to be resampled")
+
+    def _invalid(self, rule: str) -> ValueError:
+        return ValueError(f"counts for setting {self.setting!r} outcome {self.outcome!r} "
+                          f"must be {rule}, got {self.counts!r}")
 
 
 @dataclass(frozen=True)
@@ -303,9 +307,18 @@ def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecor
 
 
 def records_to_json(records, path):
+    """Write the bytes of ``json.dump([vars(r) for r in records], fh, indent=1)`` and a newline.
+
+    The text is built first and written once.  Labels go through json's own
+    string escaping; counts are written as json writes an int or a float.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    items = ",\n".join(
+        f' {{\n  "setting": {quote(r.setting)},\n  "outcome": {quote(r.outcome)},\n  "counts": '
+        f'{int.__repr__(r.counts) if isinstance(r.counts, int) else float.__repr__(r.counts)}\n }}'
+        for r in records)
     with open(path, "w") as fh:
-        json.dump([vars(r) for r in records], fh, indent=1)
-        fh.write("\n")
+        fh.write(f"[\n{items}\n]\n" if items else "[]\n")
 
 
 def _read_json(path, role: str):
@@ -323,6 +336,9 @@ def _read_json(path, role: str):
         raise ValueError(f"{role} {path} is not valid JSON: {exc}") from None
 
 
+_RECORD_KEYS = frozenset(("setting", "outcome", "counts"))
+
+
 def records_from_json(path) -> list[CountRecord]:
     data = _read_json(path, "count file")
     if not isinstance(data, list):
@@ -331,8 +347,8 @@ def records_from_json(path) -> list[CountRecord]:
     for index, d in enumerate(data):
         if not isinstance(d, dict):
             raise ValueError(f"count record {index} is not a JSON object: {d!r}")
-        missing = [key for key in ("setting", "outcome", "counts") if key not in d]
-        if missing:
+        if not d.keys() >= _RECORD_KEYS:
+            missing = [key for key in ("setting", "outcome", "counts") if key not in d]
             raise ValueError(f"count record {index} lacks {', '.join(map(repr, missing))}")
         records.append(CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"]))
     return records
@@ -513,12 +529,11 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     sums, central, (diag_samples, off_samples) = _resampled_elements(
         records, OFFDIAG_PAIRS, trials, seed)
     fid_samples = fidelity_from_arrays(diag_samples, off_samples)
-
-    def std(samples):
-        return float(np.std(samples, ddof=1)) if trials > 1 else 0.0
-
-    diagonals, offdiagonals = _element_estimates(
-        sums, *central, [std(s) for s in diag_samples.T], [std(s) for s in off_samples.T])
+    # One element per contiguous row: one std pass, equal bit for bit to one np.std per column.
+    rows = np.ascontiguousarray(np.hstack((diag_samples, off_samples)).T)
+    stds = np.std(rows, axis=1, ddof=1).tolist() if trials > 1 else [0.0] * len(rows)
+    n_diag = len(ALL_KETS)
+    diagonals, offdiagonals = _element_estimates(sums, *central, stds[:n_diag], stds[n_diag:])
     subspace = {
         pair: _subspace_estimate(pair, central, diag_samples, samples)
         for pair, samples in zip(OFFDIAG_PAIRS, off_samples.T)
@@ -528,7 +543,7 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
         diagonals=diagonals,
         offdiagonals=offdiagonals,
         fidelity=fidelity_from_arrays(*central),
-        fidelity_std=std(fid_samples),
+        fidelity_std=float(np.std(fid_samples, ddof=1)) if trials > 1 else 0.0,
         fidelity_mean=float(np.mean(fid_samples)),
         subspace_fidelities=subspace,
         trials=trials,

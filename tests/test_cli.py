@@ -611,6 +611,17 @@ class TestConfig:
         assert report["config"]["visibility"] == 0.9
         assert report["config"]["seed"] == 7
 
+    def test_integer_config_values_write_the_flag_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"integration_time": 900, "visibility": 1, "rate": 1}))
+        _, from_file = run(tmp_path / "file", "--config", str(cfg), "gen-state")
+        _, from_flags = run(tmp_path / "flags", "--time", "900", "--visibility", "1",
+                            "--rate", "1", "gen-state")
+        for name in ("state.json", "gen_state_report.json"):
+            assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+        config = read_json(from_file / "gen_state_report.json")["config"]
+        assert [type(config[k]) for k in ("integration_time", "visibility", "rate")] == [float] * 3
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -653,3 +664,55 @@ class TestConfig:
         assert read_json(out / "gen_state_report.json")["config"]["seed"] == 77
         with open(out / "gen_state_report.json") as fh:
             assert "generated_at" not in json.load(fh)
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; no call leaves a value in it."""
+
+    # Each flag given, then left out, in one process.
+    SEQUENCES = [
+        ["--seed", "9", "--visibility", "0.5", "--trials", "20", "--rate", "2", "--time", "3",
+         "--no-timestamp", "fmax", "--ranks", "3", "3", "2", "--restarts", "2"],
+        ["subspace", "000", "111", "--fixture"],
+        ["witness", "--fixture"],
+        ["qkd", "--rounds", "5"],
+        ["qkd", "--fixture"],
+        ["estimate", "--counts", "missing.json"],
+    ]
+    PROBES = [["fmax"], ["witness"], ["subspace", "000", "220"], ["qkd"], ["estimate"],
+              ["gen-state"]]
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_ranks_do_not_carry_over(self, tmp_path):
+        _, out = run(tmp_path, "fmax", "--ranks", "3", "3", "2")
+        assert read_json(out / "fmax_report.json")["class_ranks"] == [3, 3, 2]
+        _, out = run(tmp_path, "fmax")
+        assert read_json(out / "fmax_report.json")["class_ranks"] == [4, 3, 2]
+
+    def test_no_timestamp_does_not_carry_over(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--no-timestamp", "fmax"]) == 0
+        assert "generated_at" not in read_json(out / "fmax_report.json")
+        assert main(["--out", str(out), "fmax"]) == 0
+        assert "generated_at" in read_json(out / "fmax_report.json")
+
+    def test_fixture_does_not_carry_over(self, tmp_path):
+        code, out = run(tmp_path, "--trials", "50", "simulate-counts")
+        assert code == 0
+        counts = out / "counts.json"
+        assert run(tmp_path, "witness", "--fixture")[0] == 0
+        assert read_json(out / "witness_report.json")["monte_carlo_trials"] == 0
+        run(tmp_path, "--trials", "50", "witness", "--counts", str(counts))
+        report = read_json(out / "witness_report.json")
+        assert report["monte_carlo_trials"] == 50
+        want = monte_carlo_errors(records_from_json(counts), 50, 1234)
+        assert report["fidelity"]["value"] == want.fidelity
+
+    def test_parses_equal_a_fresh_parser_after_every_command(self, tmp_path, capsys):
+        for argv in self.SEQUENCES:
+            main(["--out", str(tmp_path / "out"), *argv])
+        fresh = _build_parser.__wrapped__()
+        for argv in self.PROBES:
+            assert vars(_build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))

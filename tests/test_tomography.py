@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442, noisy_psi442
 from layered442.hilbert import DensityOperator, fidelity_pure, haar_random_state
 from layered442.qkd import LAYERS
+from layered442 import tomography
 from layered442.tomography import (
     ELEMENT_PLANS,
     MissingSettingError,
@@ -257,6 +258,26 @@ class TestSimulateCounts:
         raw = json.loads(path.read_text())
         assert isinstance(raw, list)
         assert set(raw[0]) == {"setting", "outcome", "counts"}
+
+    # Labels that json must escape (quote, backslash, control, non-ASCII, lone surrogate).
+    LABELS = st.one_of(st.sampled_from(["Z", "X01-Y23-Z", 'say "hi"', "back\\slash", "tab\t",
+                                        "\u00fcber", "\u2603", "\ud800", ""]),
+                       st.text(max_size=6))
+    COUNTS = st.one_of(st.integers(0, 9 * 10**18), st.sampled_from([0.0, 1e-300, 9e18]),
+                       st.floats(0.0, 9e18))
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=st.lists(st.builds(CountRecord, LABELS, LABELS, COUNTS), max_size=5))
+    @example(records=[])
+    @example(records=[CountRecord('a"\\\u00e9', "\u2603", c) for c in (7, 0.0, 1e-300, 9e18)])
+    def test_count_file_is_the_json_dump_bytes(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("counts")
+        records_to_json(records, path / "new.json")
+        with open(path / "dumped.json", "w") as fh:
+            json.dump([vars(r) for r in records], fh, indent=1)
+            fh.write("\n")
+        assert (path / "new.json").read_bytes() == (path / "dumped.json").read_bytes()
+        assert records_from_json(path / "new.json") == records
 
     def test_json_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -544,3 +565,15 @@ def test_resampled_errors_pinned_bit_for_bit(seed):
                  np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
         got += [e.std_dev, result.subspace_fidelities[pair][1]]
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("trials", [1, 2, 1000])
+def test_element_stds_equal_one_std_per_column(trials):
+    # The 38 stds come from one pass over rows; each must equal its own column's np.std.
+    recs = simulate_counts(noisy_psi442(0.8493), standard_plan(), 1234)
+    result = monte_carlo_errors(recs, trials, 1234)
+    _, _, (diag, off) = tomography._resampled_elements(recs, OFFDIAG_PAIRS, trials, 1234)
+    want = [float(np.std(c, ddof=1)) if trials > 1 else 0.0 for c in np.hstack((diag, off)).T]
+    got = [e.std_dev for e in result.diagonals + result.offdiagonals]
+    assert len(got) == 38
+    assert np.array_equal(got, want)
