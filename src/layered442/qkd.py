@@ -50,6 +50,9 @@ PARTY_NAMES = ("A", "B", "C")
 # RNG stream tags so Z and per-layer X samples never collide.
 _Z_STREAM = 1
 _X_STREAM_BASE = 2
+# Third key word of the round streams (seed, stream, 2): without it the Z and
+# X rounds would replay simulate_counts' streams of setting indices 1 to 5.
+_ROUND_STREAM = 2
 
 
 @dataclass(frozen=True)
@@ -339,9 +342,9 @@ def _draw_indices(p: np.ndarray, n: int, rng: np.random.Generator, label: str) -
 
 
 def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: int) -> np.ndarray:
-    """n outcome indices of a setting, Born-rule draws from the stream (seed, stream)."""
+    """n outcome indices of a setting, Born-rule draws from the stream (seed, stream, 2)."""
     p = born_probabilities(rho, parse_setting_label(label))
-    return _draw_indices(p, n, np.random.default_rng([int(seed), stream]), label)
+    return _draw_indices(p, n, np.random.default_rng([int(seed), stream, _ROUND_STREAM]), label)
 
 
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:

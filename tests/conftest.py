@@ -21,12 +21,12 @@ def flat_index(ket: str, dims=(4, 4, 2)) -> int:
 
 
 def choice_draws(rho, label, n, seed, stream):
-    """Outcome indices of a setting drawn by ``Generator.choice`` on the stream (seed, stream).
+    """Outcome indices of a setting drawn by ``Generator.choice`` on the stream (seed, stream, 2).
 
     The reference the round sampler must equal index for index.
     """
     p = born_probabilities(rho, parse_setting_label(label))
-    return np.random.default_rng([seed, stream]).choice(p.size, size=n, p=p / p.sum())
+    return np.random.default_rng([seed, stream, 2]).choice(p.size, size=n, p=p / p.sum())
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from layered442.tomography import (
     simulate_counts,
     standard_plan,
 )
-from layered442.witness import subspace_fidelity
+from layered442.witness import RankVectorClass, search_class_overlap, subspace_fidelity
 
 from conftest import choice_draws, flat_index
 
@@ -188,3 +188,34 @@ def test_count_qbers_match_sifting_oracle(rho):
         for name in ("qber_z", "qber_x", "qber_z_ab", "qber_z_ac", "qber_z_bc",
                      "sift_fraction_z", "sift_fraction_x"):
             assert report[name] is None or 0.0 <= report[name] <= 1.0, name
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**63))
+def test_every_keyed_stream_draws_its_own_uniforms(seed):
+    """Counts, resampling, QKD rounds and search starts never replay one another's draws."""
+    rho, numpy_rng = noisy_psi442(0.9), np.random.default_rng
+    opened = []
+
+    def recording_rng(key):
+        opened.append(tuple(key))
+        return numpy_rng(key)
+
+    consumers = [
+        ("counts", lambda: simulate_counts(rho, PLAN, seed)),
+        ("resampling", lambda: monte_carlo_errors(exact_records(rho, PLAN), 1, seed)),
+        ("Z rounds", lambda: sample_z_rounds(rho, 1, seed)),
+        *[(f"{layer.layer_id} rounds", lambda layer=layer: sample_x_rounds(rho, layer, 1, seed))
+          for layer in LAYERS],
+        # (1, 2, 3) has four members on (4, 4, 2), the most of any class.
+        ("search", lambda: search_class_overlap(PSI, RankVectorClass((1, 2, 3)), 4, seed)),
+    ]
+    streams = set()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording_rng)
+        for name, consume in consumers:
+            consume()
+            streams |= {(name, key) for key in opened}
+            opened.clear()
+    assert len(streams) == 2 * len(PLAN.settings) + 1 + len(LAYERS) + 4
+    assert len({tuple(numpy_rng(key).random(4)) for _, key in streams}) == len(streams)

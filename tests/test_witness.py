@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from layered442.circuit import make_psi442
 from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements
-from layered442.hilbert import PureState, fidelity_pure, haar_random_state
+from layered442.hilbert import PureState, fidelity_pure, haar_random_state, schmidt_decompose
 from layered442 import witness
 from layered442.witness import (
     ALL_KETS,
@@ -170,6 +170,35 @@ def test_search_reaches_every_class_bound():
             missed[ranks] = (best, bound)
     assert len(VALID_CLASSES) == 56
     assert missed == {}
+
+
+def _full_sweep_search(target, cls, restarts, seed):
+    """Reference search: member k's starts from the stream (seed, k, 3), then every sweep."""
+    members = cls.members(target.dims)
+    out = np.empty(restarts)
+    for k, member in enumerate(members[:restarts]):
+        rng = np.random.default_rng([seed, k, 3])
+        starts = [haar_random_state(target.dims, rng) for _ in range(k, restarts, len(members))]
+        isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
+                                    for phi in starts]))
+                      for p, cap in enumerate(member) if cap < target.dims[p]]
+        for _ in range(witness.SEESAW_SWEEPS):
+            isometries, overlaps = witness._sweep(target, isometries)
+        out[k::len(members)] = overlaps
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1234])
+def test_early_stopping_matches_full_sweeps(seed):
+    # On a Haar-random target the overlaps depend on the starts, so the stream is checked too.
+    for target in (make_psi442(), haar_random_state((4, 4, 2), np.random.default_rng(seed))):
+        for ranks in VALID_CLASSES:
+            cls = RankVectorClass(ranks)
+            found = search_class_overlap(target, cls, 12, seed)
+            full = _full_sweep_search(target, cls, 12, seed)
+            assert np.max(np.abs(found - full)) <= 1e-12, ranks
+            if ranks == (4, 3, 2):
+                assert np.array_equal(found, full)
 
 
 @settings(max_examples=40, deadline=None)
