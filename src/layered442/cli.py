@@ -67,8 +67,10 @@ class RunConfig:
             raise ValueError(f"no_timestamp must be true or false, got {self.no_timestamp!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # default_rng([seed, ...]) splits a seed of 2**32 or more into two words,
+        # so it would replay the streams of another seed.
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must lie in [0, {2**32 - 1}], got {self.seed}")
         if self.monte_carlo_trials < 1:
             raise ValueError("monte_carlo_trials must be >= 1")
         if self.rate <= 0 or self.integration_time <= 0:

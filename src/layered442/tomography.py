@@ -274,6 +274,21 @@ def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> Exper
 # ---------------------------------------------------------------------------
 
 
+def _plan_records(rho: DensityOperator, plan: ExperimentPlan, counts) -> list[CountRecord]:
+    """Records of every setting of ``plan``, in ``setting_outcomes`` order.
+
+    ``counts(index, setting, means)`` turns a setting's mean counts, rate x
+    time x Born probabilities, into the array its records carry.
+    """
+    scale = plan.rate * plan.integration_time
+    records = []
+    for index, setting in enumerate(plan.settings):
+        values = counts(index, setting, scale * born_probabilities(rho, setting))
+        records += [CountRecord(setting.label, outcome, c)
+                    for outcome, c in zip(setting_outcomes(setting), values.tolist())]
+    return records
+
+
 def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> list[CountRecord]:
     """Draw Poissonian counts for every outcome of every setting.
 
@@ -282,28 +297,19 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    records = []
-    scale = plan.rate * plan.integration_time
-    for index, setting in enumerate(plan.settings):
-        means = scale * born_probabilities(rho, setting)
+
+    def draw(index, setting, means):
         if not means.max() <= _POISSON_LAM_MAX:
             raise ValueError(f"setting {setting.label!r} has a mean count of {means.max():.10g}; "
                              f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
-        counts = np.random.default_rng([int(seed), index]).poisson(means)
-        records += [CountRecord(setting.label, outcome, c)
-                    for outcome, c in zip(setting_outcomes(setting), counts.tolist())]
-    return records
+        return np.random.default_rng([int(seed), index]).poisson(means)
+
+    return _plan_records(rho, plan, draw)
 
 
 def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecord]:
     """Expected counts (floats): the infinite-statistics limit."""
-    records = []
-    scale = plan.rate * plan.integration_time
-    for setting in plan.settings:
-        probs = born_probabilities(rho, setting).tolist()
-        records += [CountRecord(setting.label, outcome, scale * p)
-                    for outcome, p in zip(setting_outcomes(setting), probs)]
-    return records
+    return _plan_records(rho, plan, lambda index, setting, means: means)
 
 
 def records_to_json(records, path):
@@ -461,7 +467,6 @@ class MonteCarloResult:
     fidelity: float
     fidelity_std: float
     fidelity_mean: float
-    subspace_fidelities: dict
     trials: int
     degenerate: bool
 
@@ -488,27 +493,6 @@ def _resampled_elements(records, pairs, trials: int, seed: int):
     return sums, central, samples
 
 
-def _subspace_estimate(pair, central, diag_samples, coherence_samples):
-    """(value, spread) of one pair's subspace fidelity from central and resampled elements.
-
-    ``central`` is ``(diag, off)`` over all six pairs.  Both are nan when
-    the pair's central population is zero.  The spread is the std over the
-    trials with non-zero population, nan below two such trials, and 0 for
-    a single trial.
-    """
-    diag, off = central
-    i, j = ALL_KETS.index(pair[0]), ALL_KETS.index(pair[1])
-    if not diag[i] + diag[j] > 0:
-        return float("nan"), float("nan")
-    value = subspace_fidelity(diag[i], diag[j], off[OFFDIAG_PAIRS.index(pair)])
-    fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], coherence_samples)
-    finite = np.count_nonzero(~np.isnan(fsub))
-    # Below two finite trials the spread is undefined (nanstd would warn).
-    spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
-              else 0.0 if len(fsub) == 1 else float("nan"))
-    return value, spread
-
-
 def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     """Propagate Poissonian counting errors by resampling the experiment.
 
@@ -516,15 +500,14 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     correlator setting's +1, -1 and 0 eigenvalue-class sums as Poisson(sum):
     the estimator reads a correlator only through those sums, and a sum of
     independent Poisson counts is Poisson with the summed mean, so this is
-    exactly resampling every count.  All elements, the target fidelity and
-    the six renormalized subspace fidelities are recomputed per trial, and
-    the per-element sample standard deviations become the quoted errors.
-    Each setting's resampling stream is keyed by (seed, index in
-    :func:`standard_plan`, 1), so the result does not depend on the order
-    of ``records`` and never reuses the draws :func:`simulate_counts` made
-    with the same seed.  :func:`subspace_monte_carlo` runs the same
-    resampling on one pair.  Fewer than 100 trials is allowed but flagged
-    degenerate.
+    exactly resampling every count.  All elements and the target fidelity
+    are recomputed per trial, and the per-element sample standard
+    deviations become the quoted errors.  Each setting's resampling stream
+    is keyed by (seed, index in :func:`standard_plan`, 1), so the result
+    does not depend on the order of ``records`` and never reuses the draws
+    :func:`simulate_counts` made with the same seed.
+    :func:`subspace_monte_carlo` runs the same resampling on one pair.
+    Fewer than 100 trials is allowed but flagged degenerate.
     """
     sums, central, (diag_samples, off_samples) = _resampled_elements(
         records, OFFDIAG_PAIRS, trials, seed)
@@ -534,30 +517,37 @@ def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:
     stds = np.std(rows, axis=1, ddof=1).tolist() if trials > 1 else [0.0] * len(rows)
     n_diag = len(ALL_KETS)
     diagonals, offdiagonals = _element_estimates(sums, *central, stds[:n_diag], stds[n_diag:])
-    subspace = {
-        pair: _subspace_estimate(pair, central, diag_samples, samples)
-        for pair, samples in zip(OFFDIAG_PAIRS, off_samples.T)
-    }
-
     return MonteCarloResult(
         diagonals=diagonals,
         offdiagonals=offdiagonals,
         fidelity=fidelity_from_arrays(*central),
         fidelity_std=float(np.std(fid_samples, ddof=1)) if trials > 1 else 0.0,
         fidelity_mean=float(np.mean(fid_samples)),
-        subspace_fidelities=subspace,
         trials=trials,
         degenerate=trials < 100,
     )
 
 
 def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, float]:
-    """One pair's subspace fidelity and its Monte Carlo spread.
+    """One pair's subspace fidelity and its Monte Carlo spread: the one source of both.
 
-    Equal bit for bit to ``monte_carlo_errors(records, trials,
-    seed).subspace_fidelities[pair]``, and rejects the same records with
-    the same message: the one resampling behind both draws here only the
-    computational setting and the correlator settings of ``pair``.
+    The resampling of :func:`monte_carlo_errors` draws here only the
+    computational setting and the correlator settings of ``pair``, each on
+    the stream the full resampling uses, so the trials are those of all 21
+    settings, and the same records are rejected with the same message.
+    Both are nan when the pair's central population is zero.  The spread is
+    the std over the trials with non-zero population, nan below two such
+    trials, and 0 for a single trial.
     """
-    _, central, (diag_samples, off_samples) = _resampled_elements(records, (pair,), trials, seed)
-    return _subspace_estimate(pair, central, diag_samples, off_samples[:, 0])
+    _, (diag, off), (diag_samples, off_samples) = _resampled_elements(
+        records, (pair,), trials, seed)
+    i, j = ALL_KETS.index(pair[0]), ALL_KETS.index(pair[1])
+    if not diag[i] + diag[j] > 0:
+        return float("nan"), float("nan")
+    value = subspace_fidelity(diag[i], diag[j], off[OFFDIAG_PAIRS.index(pair)])
+    fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], off_samples[:, 0])
+    finite = np.count_nonzero(~np.isnan(fsub))
+    # Below two finite trials the spread is undefined (nanstd would warn).
+    spread = (float(np.nanstd(fsub, ddof=1)) if finite > 1
+              else 0.0 if len(fsub) == 1 else float("nan"))
+    return value, spread

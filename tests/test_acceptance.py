@@ -29,6 +29,7 @@ from layered442.tomography import (
     monte_carlo_errors,
     simulate_counts,
     standard_plan,
+    subspace_monte_carlo,
 )
 from layered442.witness import (
     OFFDIAG_PAIRS,
@@ -154,7 +155,7 @@ def test_criterion_6_subspace_witnesses():
     threshold_ok = (not gme_witnessed(0.5)) and gme_witnessed(0.5 + 1e-9) and not gme_witnessed(0.3)
 
     recs = simulate_counts(noisy_psi442(VIS), standard_plan(RATE, TIME), seed=43)
-    noisy = monte_carlo_errors(recs, trials=300, seed=44).subspace_fidelities
+    noisy = {pair: subspace_monte_carlo(recs, pair, trials=300, seed=44) for pair in OFFDIAG_PAIRS}
     noisy_ok = all(value > 0.85 for value, _ in noisy.values())
     lo = min(value for value, _ in noisy.values())
     check(

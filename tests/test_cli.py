@@ -658,6 +658,23 @@ class TestConfig:
         code = main(["--visibility", "1.5", "--out", str(tmp_path / "o"), "gen-state"])
         assert code == 2
 
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_seed_of_two_words_rejected(self, tmp_path, monkeypatch, capsys, from_file):
+        # default_rng([2**32 + 5, 1]) draws what default_rng([5, 1, 1]) draws.
+        monkeypatch.chdir(tmp_path)
+        flags = ["--seed", "4294967296"]
+        if from_file:
+            (tmp_path / "c.json").write_text(json.dumps({"seed": 2**32}))
+            flags = ["--config", "c.json"]
+        assert main([*flags, "gen-state"]) == 2
+        assert "seed must lie in [0, 4294967295], got 4294967296" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_accepted(self, tmp_path):
+        code, out = run(tmp_path, "--seed", "4294967295", "gen-state")
+        assert code == 0
+        assert read_json(out / "gen_state_report.json")["config"]["seed"] == 2**32 - 1
+
     def test_seed_recorded_in_reports(self, tmp_path):
         code, out = run(tmp_path, "--seed", "77", "gen-state")
         assert code == 0

@@ -31,8 +31,14 @@ from layered442.tomography import (
     setting_outcomes,
     simulate_counts,
     standard_plan,
+    subspace_monte_carlo,
 )
-from layered442.witness import RankVectorClass, search_class_overlap, subspace_fidelity
+from layered442.witness import (
+    OFFDIAG_PAIRS,
+    RankVectorClass,
+    search_class_overlap,
+    subspace_fidelity,
+)
 
 from conftest import choice_draws, flat_index
 
@@ -56,10 +62,12 @@ def densities(draw):
 @PROPERTY_SETTINGS
 @given(rho=densities(), seed=st.integers(0, 2**16))
 def test_monte_carlo_central_values_match_exact_state(rho, seed):
-    result = monte_carlo_errors(exact_records(rho, PLAN), trials=2, seed=seed)
+    records = exact_records(rho, PLAN)
+    result = monte_carlo_errors(records, trials=2, seed=seed)
     assert abs(result.fidelity - fidelity_pure(rho, PSI)) < 1e-10
     m = rho.matrix
-    for (a, b), (value, _) in result.subspace_fidelities.items():
+    for a, b in OFFDIAG_PAIRS:
+        value, _ = subspace_monte_carlo(records, (a, b), trials=2, seed=seed)
         i, j = flat_index(a), flat_index(b)
         expected = subspace_fidelity(m[i, i].real, m[j, j].real, m[i, j].real)
         assert abs(value - expected) < 1e-10

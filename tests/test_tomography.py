@@ -402,8 +402,8 @@ class TestMonteCarlo:
     def test_subspace_fidelities_near_one_for_ideal(self):
         plan = standard_plan(rate=0.66, integration_time=18000.0)
         recs = simulate_counts(make_psi442().density(), plan, seed=3)
-        result = monte_carlo_errors(recs, trials=200, seed=3)
-        for pair, (value, std) in result.subspace_fidelities.items():
+        for pair in OFFDIAG_PAIRS:
+            value, _ = subspace_monte_carlo(recs, pair, trials=200, seed=3)
             assert value == pytest.approx(1.0, abs=5e-2)
 
     @pytest.mark.parametrize("seed", [1234, 7, 99])
@@ -420,8 +420,8 @@ class TestMonteCarlo:
         # Few signal counts: some trials resample both populations of a pair
         # to zero, leaving fewer than two finite subspace fidelities.
         rho = haar_random_state((4, 4, 2), np.random.default_rng(0)).density()
-        result = monte_carlo_errors(exact_records(rho, standard_plan()), trials=2, seed=3)
-        spreads = [spread for _, spread in result.subspace_fidelities.values()]
+        recs = exact_records(rho, standard_plan())
+        spreads = [subspace_monte_carlo(recs, pair, trials=2, seed=3)[1] for pair in OFFDIAG_PAIRS]
         assert any(math.isnan(s) for s in spreads)
         assert all(math.isnan(s) or s >= 0 for s in spreads)
 
@@ -441,17 +441,27 @@ def test_subspace_monte_carlo_equals_full_resampling(seed, trials, integration_t
     rho = random_density((4, 4, 2), np.random.default_rng(seed))
     recs = simulate_counts(rho, standard_plan(0.66, integration_time), seed)
     try:
-        full = monte_carlo_errors(recs, trials, seed).subspace_fidelities
+        _, (diag, off), (diag_samples, off_samples) = tomography._resampled_elements(
+            recs, OFFDIAG_PAIRS, trials, seed)
     except ValueError as exc:
         for pair in OFFDIAG_PAIRS:
             with pytest.raises(ValueError) as raised:
                 subspace_monte_carlo(recs, pair, trials, seed)
             assert str(raised.value) == str(exc)
         return
-    for pair in OFFDIAG_PAIRS:
+    for k, pair in enumerate(OFFDIAG_PAIRS):
+        # The reference from all 21 settings' draws: nan for an empty subspace,
+        # else the nanstd over finite trials (nan below two, 0 for one trial).
+        i, j = flat_index(pair[0]), flat_index(pair[1])
+        want = [math.nan, math.nan]
+        if diag[i] + diag[j] > 0:
+            fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], off_samples[:, k])
+            finite = np.count_nonzero(~np.isnan(fsub))
+            want = [subspace_fidelity(diag[i], diag[j], off[k]),
+                    np.nanstd(fsub, ddof=1) if finite > 1 else 0.0 if trials == 1 else math.nan]
         value, spread = subspace_monte_carlo(recs, pair, trials, seed)
         # Bitwise, so nan equals nan.
-        assert np.array([value, spread]).tobytes() == np.array(full[pair]).tobytes(), pair
+        assert np.array([value, spread]).tobytes() == np.array(want).tobytes(), pair
 
 
 def per_outcome_elements(tables):
@@ -524,7 +534,7 @@ def test_class_sum_resampling_matches_per_outcome_oracle(seed):
         i, j = flat_index(pair[0]), flat_index(pair[1])
         want += [np.std(off[:, k], ddof=1),
                  np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
-        got += [e.std_dev, result.subspace_fidelities[pair][1]]
+        got += [e.std_dev, subspace_monte_carlo(recs, pair, ORACLE_TRIALS, seed)[1]]
     np.testing.assert_allclose(got, want, rtol=ORACLE_RTOL)
 
 
@@ -563,7 +573,7 @@ def test_resampled_errors_pinned_bit_for_bit(seed):
         i, j = flat_index(pair[0]), flat_index(pair[1])
         want += [np.std(off[:, k], ddof=1),
                  np.nanstd(subspace_fidelity(diag[:, i], diag[:, j], off[:, k]), ddof=1)]
-        got += [e.std_dev, result.subspace_fidelities[pair][1]]
+        got += [e.std_dev, subspace_monte_carlo(recs, pair, trials, seed)[1]]
     assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
