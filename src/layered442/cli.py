@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, fixtures, qkd, tomography, witness
-from .hilbert import rank_vector
+from .hilbert import _check_seed, rank_vector
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -67,10 +67,7 @@ class RunConfig:
             raise ValueError(f"no_timestamp must be true or false, got {self.no_timestamp!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        # default_rng([seed, ...]) splits a seed of 2**32 or more into two words,
-        # so it would replay the streams of another seed.
-        if not 0 <= self.seed < 2**32:
-            raise ValueError(f"seed must lie in [0, {2**32 - 1}], got {self.seed}")
+        _check_seed(self.seed)
         if self.monte_carlo_trials < 1:
             raise ValueError("monte_carlo_trials must be >= 1")
         if self.rate <= 0 or self.integration_time <= 0:

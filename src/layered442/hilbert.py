@@ -10,6 +10,7 @@ are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "schmidt_decompose",
     "rank_vector",
     "fidelity_pure",
+    "keyed_rng",
 ]
 
 # Largest supported composite dimension; beyond this the dense
@@ -141,6 +143,41 @@ def haar_random_state(dims, rng: np.random.Generator) -> PureState:
     n = _total_dim(dims)
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     return PureState(dims, vec / np.linalg.norm(vec))
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int; a ValueError unless it is an integer in [0, 2**32)."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2**32):
+        raise ValueError(f"seed must lie in [0, {2**32 - 1}], got {seed}")
+    return int(seed)
+
+
+def keyed_rng(seed, *key) -> np.random.Generator:
+    """The generator ``default_rng([seed, *key])``: every seeded draw of the package.
+
+    The seed must be an integer in [0, 2**32): numpy's seed sequence splits
+    an integer of 2**32 or more into 32-bit words, so ``[2**32 + 5, 1]``
+    would draw what ``[5, 1, 1]`` draws.  The keys in use:
+
+    =====================================  ==============================
+    stream                                 key
+    =====================================  ==============================
+    simulated counts                       (seed, setting index)
+    Monte Carlo resampling                 (seed, setting index, 1)
+    QKD rounds                             (seed, stream, 2); stream 1 is
+                                           ``Z``, 2 to 5 the X settings of
+                                           the four ``qkd.LAYERS``
+    class-overlap search starts            (seed, member index, 3)
+    =====================================  ==============================
+
+    Setting indices are positions in ``tomography.standard_plan()``.  The
+    third key word keeps the kinds apart at one seed: without it the
+    resampling, and the rounds of stream s, would replay the counts of
+    setting s.  The seed sequence ignores a trailing 0, so the tags are
+    non-zero.
+    """
+    return np.random.default_rng([_check_seed(seed), *key])
 
 
 def _check_parties(parties, num_parties: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ALL_KETS, DIMS_442
-from .hilbert import DensityOperator
+from .hilbert import DensityOperator, keyed_rng
 from .tomography import born_probabilities, parse_setting_label, setting_outcomes
 
 __all__ = [
@@ -47,11 +47,10 @@ __all__ = [
 
 PARTY_NAMES = ("A", "B", "C")
 
-# RNG stream tags so Z and per-layer X samples never collide.
+# Round streams (seed, stream, 2), Z on stream 1 and layer k's X on 2 + k
+# (see hilbert.keyed_rng).
 _Z_STREAM = 1
 _X_STREAM_BASE = 2
-# Third key word of the round streams (seed, stream, 2): without it the Z and
-# X rounds would replay simulate_counts' streams of setting indices 1 to 5.
 _ROUND_STREAM = 2
 
 
@@ -344,7 +343,7 @@ def _draw_indices(p: np.ndarray, n: int, rng: np.random.Generator, label: str) -
 def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: int) -> np.ndarray:
     """n outcome indices of a setting, Born-rule draws from the stream (seed, stream, 2)."""
     p = born_probabilities(rho, parse_setting_label(label))
-    return _draw_indices(p, n, np.random.default_rng([int(seed), stream, _ROUND_STREAM]), label)
+    return _draw_indices(p, n, keyed_rng(seed, stream, _ROUND_STREAM), label)
 
 
 def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ALL_KETS, DIMS_442
-from .hilbert import DensityOperator
+from .hilbert import DensityOperator, keyed_rng
 from .witness import (
     OFFDIAG_PAIRS,
     ElementEstimate,
@@ -68,9 +68,7 @@ LOW_STATS_THRESHOLD = 50
 
 Z_LABEL = "Z"
 
-# Third key word of the Monte Carlo resampling streams, so they never replay
-# simulate_counts' (seed, index) streams; SeedSequence drops trailing zeros,
-# so the tag must be non-zero.
+# Third key word of the Monte Carlo resampling streams (see hilbert.keyed_rng).
 _RESAMPLE_STREAM = 1
 
 # numpy's Poisson sampler rejects means above this (int64 max - 10 sqrt(int64
@@ -295,14 +293,11 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
     Each setting uses an RNG stream keyed by (seed, setting index), so
     records are reproducible regardless of how the plan is split up.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
     def draw(index, setting, means):
         if not means.max() <= _POISSON_LAM_MAX:
             raise ValueError(f"setting {setting.label!r} has a mean count of {means.max():.10g}; "
                              f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
-        return np.random.default_rng([int(seed), index]).poisson(means)
+        return keyed_rng(seed, index).poisson(means)
 
     return _plan_records(rho, plan, draw)
 
@@ -366,7 +361,11 @@ def records_from_json(path) -> list[CountRecord]:
 
 
 def count_tables(records) -> dict[str, np.ndarray]:
-    """Counts per setting label, in the setting's canonical outcome order."""
+    """Counts per setting label, in the setting's canonical outcome order.
+
+    A setting's records must list every one of its outcomes (0 counts
+    allowed): an absent record is refused, not read as 0.
+    """
     by_setting: dict[str, dict[str, float]] = {}
     for r in records:
         table = by_setting.setdefault(r.setting, {})
@@ -379,7 +378,11 @@ def count_tables(records) -> dict[str, np.ndarray]:
         unknown = set(table) - set(order)
         if unknown:
             raise ValueError(f"unknown outcomes {sorted(unknown)} for setting {label!r}")
-        tables[label] = np.array([table.get(o, 0.0) for o in order])
+        missing = [o for o in order if o not in table]
+        if missing:
+            raise ValueError(f"setting {label!r} has no record for outcomes {missing}; "
+                             "a count file lists every outcome of a setting, 0 allowed")
+        tables[label] = np.array([table[o] for o in order])
     return tables
 
 
@@ -486,7 +489,7 @@ def _resampled_elements(records, pairs, trials: int, seed: int):
     _checked_diagonal_sum(central[0])
     resampled = {}
     for label in [Z_LABEL] + [label for pair in pairs for label, _, _ in ELEMENT_PLANS[pair]]:
-        rng = np.random.default_rng([int(seed), _PLAN_INDEX[label], _RESAMPLE_STREAM])
+        rng = keyed_rng(seed, _PLAN_INDEX[label], _RESAMPLE_STREAM)
         resampled[label] = rng.poisson(sums[label], size=(trials, sums[label].size)).astype(float)
     samples = _elements(resampled, pairs)
     _checked_diagonal_sum(samples[0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ALL_KETS, SIGNAL_KETS
-from .hilbert import PureState, haar_random_state, schmidt_decompose
+from .hilbert import PureState, haar_random_state, keyed_rng, schmidt_decompose
 
 __all__ = [
     "ALL_KETS",
@@ -67,9 +67,7 @@ SEESAW_SWEEPS = 10
 #: seeds, 50 restarts each) and within 5.1e-14 on Haar-random targets.
 SEESAW_TOL = 1e-12
 
-# Third key word of the search streams (seed, member index, 3); counts,
-# resampling and QKD rounds use (seed, index), (seed, index, 1) and
-# (seed, stream, 2).
+# Third key word of the search streams (see hilbert.keyed_rng).
 _SEARCH_STREAM = 3
 
 
@@ -334,7 +332,7 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
     Restart r runs member k = ``r % len(members)`` and starts each
     constrained party (rank cap below its dimension) on the top-cap left
     Schmidt vectors of a Haar-random state.  Member k draws its starts, in
-    restart order, from the one stream ``default_rng([seed, k, 3])``.
+    restart order, from the one stream ``keyed_rng(seed, k, 3)``.
     Sweeps, batched over the restarts of each member, then raise the
     overlap of the class state supported on the local subspaces; they stop
     once no restart's overlap rises by more than ``SEESAW_TOL``, after at
@@ -346,7 +344,7 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
     members = cls.members(target.dims)
     out = np.empty(restarts)
     for k, member in enumerate(members[:restarts]):
-        rng = np.random.default_rng([seed, k, _SEARCH_STREAM])
+        rng = keyed_rng(seed, k, _SEARCH_STREAM)
         starts = [haar_random_state(target.dims, rng) for _ in range(k, restarts, len(members))]
         isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
                                     for phi in starts]))

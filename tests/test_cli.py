@@ -398,6 +398,21 @@ def test_unresamplable_class_sum_rejected(tmp_path, capsys, command, report):
             "at most 9.223372006e+18 can be resampled") in err
 
 
+@pytest.mark.parametrize("command, report", [
+    (("witness",), "witness_report.json"),
+    (SUBSPACE_000_220, "subspace_report.json"),
+    (("estimate",), "estimates.csv"),
+    (("qkd",), "qkd_report.csv"),
+], ids=["witness", "subspace", "estimate", "qkd"])
+def test_absent_outcome_record_rejected(tmp_path, capsys, command, report):
+    # Read as 0 counts, files with dropped records were certified.
+    def drop(data):
+        data[:] = [r for r in data if (r["setting"], r["outcome"]) != ("Z", "100")]
+    counts = edited_counts(tmp_path, drop)
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert "setting 'Z' has no record for outcomes ['100']" in err
+
+
 class TestQkd:
     def test_fixture_table(self, tmp_path):
         code, out = run(tmp_path, "qkd", "--fixture")

@@ -85,13 +85,16 @@ def test_monte_carlo_ignores_record_order(order):
 
 
 def _binned_tables(z, x, layer):
-    """Count tables of sampled Z and X outcome indices, binned through records."""
-    tables = {}
+    """Count tables of sampled Z and X outcome indices, binned through records.
+
+    Every outcome gets a record, 0 for an outcome never drawn.
+    """
+    records = []
     for label, rounds in (("Z", z), (layer.x_setting_label, x)):
         outcomes = setting_outcomes(parse_setting_label(label))
-        tables[label] = Counter(outcomes[index] for index in rounds.tolist())
-    return count_tables([CountRecord(label, outcome, c)
-                         for label, table in tables.items() for outcome, c in table.items()])
+        drawn = Counter(outcomes[index] for index in rounds.tolist())
+        records += [CountRecord(label, outcome, drawn[outcome]) for outcome in outcomes]
+    return count_tables(records)
 
 
 @PROPERTY_SETTINGS
@@ -199,7 +202,7 @@ def test_count_qbers_match_sifting_oracle(rho):
 
 
 @settings(max_examples=5, deadline=None)
-@given(seed=st.integers(0, 2**63))
+@given(seed=st.integers(0, 2**32 - 1))
 def test_every_keyed_stream_draws_its_own_uniforms(seed):
     """Counts, resampling, QKD rounds and search starts never replay one another's draws."""
     rho, numpy_rng = noisy_psi442(0.9), np.random.default_rng
@@ -227,3 +230,29 @@ def test_every_keyed_stream_draws_its_own_uniforms(seed):
             opened.clear()
     assert len(streams) == 2 * len(PLAN.settings) + 1 + len(LAYERS) + 4
     assert len({tuple(numpy_rng(key).random(4)) for _, key in streams}) == len(streams)
+
+
+SEEDED_ENTRY_POINTS = pytest.mark.parametrize("draw", [
+    lambda seed: simulate_counts(noisy_psi442(0.9), PLAN, seed),
+    lambda seed: monte_carlo_errors(exact_records(noisy_psi442(0.9), PLAN), 1, seed),
+    lambda seed: subspace_monte_carlo(exact_records(noisy_psi442(0.9), PLAN),
+                                      OFFDIAG_PAIRS[0], 1, seed),
+    lambda seed: sample_z_rounds(noisy_psi442(0.9), 1, seed),
+    lambda seed: sample_x_rounds(noisy_psi442(0.9), LAYERS[0], 1, seed),
+    lambda seed: search_class_overlap(PSI, RankVectorClass((4, 3, 2)), 1, seed),
+], ids=["simulate_counts", "monte_carlo_errors", "subspace_monte_carlo", "sample_z_rounds",
+        "sample_x_rounds", "search_class_overlap"])
+
+
+@SEEDED_ENTRY_POINTS
+@pytest.mark.parametrize("seed", [2**32, -1, 7.5])
+def test_seed_outside_one_word_refused(draw, seed):
+    """A seed of 2**32 or more would replay another seed's streams; the CLI's message names it."""
+    message = f"seed must lie in [0, 4294967295], got {seed}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        draw(seed)
+
+
+@SEEDED_ENTRY_POINTS
+def test_largest_seed_drawn(draw):
+    draw(2**32 - 1)

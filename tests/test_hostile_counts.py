@@ -6,7 +6,8 @@ Each file is mutated from one honest simulated file and driven through
 exit 2 prints an error and leaves no report; every report written parses
 strictly; QBERs and key rates stay in [0, 1], with the pessimistic rate
 at most the mean.  A count, or a correlator's eigenvalue-class sum, that
-numpy's Poisson sampler cannot resample is refused by setting name.
+numpy's Poisson sampler cannot resample is refused by setting name, and so
+is a setting whose records lack any of its outcomes.
 """
 
 import contextlib
@@ -63,8 +64,11 @@ def _on_outcome(kind, draw_value=st.just(None)):
 MUTATIONS = st.one_of(
     st.tuples(st.just("zero"), st.sampled_from(LABELS)),
     _on_outcome("pile"),
+    _on_outcome("one-hot"),
     st.tuples(st.just("scale"), st.floats(-4.0, 6.0).map(lambda e: 10.0**e)),
+    st.tuples(st.just("few"), st.integers(0, 2**32 - 1)),
     _on_outcome("spike", st.integers(10**12, 10**18)),
+    _on_outcome("omit"),
     st.tuples(st.just("drop"), st.integers(0, 2**32 - 1)),
 )
 
@@ -84,6 +88,17 @@ def mutated(mutations) -> list[dict]:
             total = sum(r["counts"] for r in own)
             for r in own:
                 r["counts"] = total if r["outcome"] == outcome else 0
+        elif kind == "one-hot":
+            # One count on one outcome of a setting, none on the others.
+            label, outcome, _ = args
+            for r in data:
+                if r["setting"] == label:
+                    r["counts"] = int(r["outcome"] == outcome)
+        elif kind == "few":
+            # 0, 1 or 2 counts on every outcome.
+            draw = random.Random(args[0])
+            for r in data:
+                r["counts"] = draw.randint(0, 2)
         elif kind == "scale":
             for r in data:
                 r["counts"] *= args[0]
@@ -92,6 +107,10 @@ def mutated(mutations) -> list[dict]:
             for r in data:
                 if (r["setting"], r["outcome"]) == (label, outcome):
                     r["counts"] = count
+        elif kind == "omit":
+            # One record dropped.
+            label, outcome, _ = args
+            data = [r for r in data if (r["setting"], r["outcome"]) != (label, outcome)]
         else:
             # 30% of the records dropped.
             dropped = set(random.Random(args[0]).sample(range(len(data)), round(0.3 * len(data))))
@@ -113,6 +132,14 @@ def unresamplable(data) -> tuple[set, set]:
                    table[values == 0].sum()) > POISSON_LIMIT:
                 over_sum.add(label)
     return over_count, over_sum
+
+
+def partial_settings(data) -> set:
+    """Settings whose records lack some of their outcomes."""
+    present = {}
+    for r in data:
+        present.setdefault(r["setting"], set()).add(r["outcome"])
+    return {label for label, outcomes in present.items() if outcomes != set(_outcomes(label))}
 
 
 def strict_json(text):
@@ -151,9 +178,14 @@ def check_report(command, path):
                     ("spike", "X01-X01-X01", "+--", 5 * 10**12), ("scale", 1e6)])
 # A count beyond the limit.
 @example(mutations=[("spike", "Y02-Y02-Z", "+-0", 10**18), ("scale", 10.0)])
+# An absent outcome is named before a class sum beyond the limit.
+@example(mutations=[("spike", "X01-X01-X01", "+++", 5 * 10**12),
+                    ("spike", "X01-X01-X01", "+--", 5 * 10**12), ("scale", 1e6),
+                    ("omit", "Z", "100", None)])
 def test_hostile_count_files_end_cleanly(mutations):
     data = mutated(mutations)
     over_count, over_sum = unresamplable(data)
+    partial = partial_settings(data)
     complete = {r["setting"] for r in data} >= set(LABELS)
     with tempfile.TemporaryDirectory() as tmp:
         counts = Path(tmp) / "counts.json"
@@ -170,8 +202,10 @@ def test_hostile_count_files_end_cleanly(mutations):
                 assert err.startswith("error: ") and not (out / report).exists(), (command, err)
             else:
                 check_report(command[0], out / report)
-            # Refused by name: records are read first, class sums before any other check.
-            named = over_count or (over_sum if complete and command[0] in RESAMPLING else set())
+            # Refused by name: records are read first, then each setting's outcomes are
+            # checked, then class sums, before any other check.
+            named = (over_count or partial
+                     or (over_sum if complete and command[0] in RESAMPLING else set()))
             if named:
                 assert code == 2 and any(f"setting {label!r}" in err for label in named), (
                     command, err)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layered442.circuit import make_psi442, noisy_psi442
+from layered442.circuit import ALL_KETS, make_psi442, noisy_psi442
 from layered442.hilbert import DensityOperator, fidelity_pure, haar_random_state
 from layered442.qkd import LAYERS
 from layered442 import tomography
@@ -345,8 +345,9 @@ class TestEstimation:
             assert abs(f - 0.5) < 1e-12
 
     def test_zero_count_diagonal_flagged(self):
-        recs = [CountRecord("Z", k, 100) for k in ("000", "111", "220", "331")]
-        recs += [CountRecord("Z", "100", 0)]
+        # Every other Z outcome is listed with 0 counts: an absent record is refused.
+        recs = [CountRecord("Z", k, 100 if k in ("000", "111", "220", "331") else 0)
+                for k in ALL_KETS]
         for pair in OFFDIAG_PAIRS:
             for label, _, _ in ELEMENT_PLANS[pair]:
                 setting = parse_setting_label(label)
