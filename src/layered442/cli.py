@@ -341,12 +341,8 @@ def cmd_fmax(cfg: RunConfig, args) -> int:
         raise ValueError(f"--restarts must be >= 0 (0 skips the search), got {args.restarts}")
     target = circuit.make_psi442()
     cls = witness.RankVectorClass(tuple(args.ranks))
-    bound = witness.fmax_class_bound(target, cls)
-    per_cut = {
-        f"party_{p}_rank_{cap}": witness.max_overlap_bounded_rank(target, (p,), cap)
-        for member in cls.members(target.dims)
-        for p, cap in enumerate(member)
-    }
+    bound, cuts = witness.class_bound_with_cuts(target, cls)
+    per_cut = {f"party_{p}_rank_{cap}": overlap for (p, cap), overlap in cuts.items()}
     payload = {
         "class_ranks": list(cls.ranks),
         "class_members": [list(m) for m in cls.members(target.dims)],

@@ -31,6 +31,7 @@ __all__ = [
     "RankVectorClass",
     "Certification",
     "max_overlap_bounded_rank",
+    "class_bound_with_cuts",
     "fmax_class_bound",
     "fidelity_from_elements",
     "fidelity_from_arrays",
@@ -130,17 +131,39 @@ class Certification:
     certified: bool
 
 
+def _bounded_rank_overlap(coefficients: np.ndarray, rank: int) -> float:
+    full = coefficients.size
+    if not 1 <= rank <= full:
+        raise ValueError(f"rank must lie in 1..{full}, got {rank}")
+    return float(min(1.0, np.sum(coefficients[:rank] ** 2)))
+
+
 def max_overlap_bounded_rank(target: PureState, cut, rank: int) -> float:
     """Best overlap with ``target`` of any state of bounded Schmidt rank.
 
     Equal to the sum of the ``rank`` largest squared Schmidt coefficients
     of the target across the cut.
     """
-    data = schmidt_decompose(target, cut)
-    full = data.coefficients.size
-    if not 1 <= rank <= full:
-        raise ValueError(f"rank must lie in 1..{full}, got {rank}")
-    return float(min(1.0, np.sum(data.coefficients[:rank] ** 2)))
+    return _bounded_rank_overlap(schmidt_decompose(target, cut).coefficients, rank)
+
+
+def class_bound_with_cuts(target: PureState, cls: RankVectorClass
+                          ) -> tuple[float, dict[tuple[int, int], float]]:
+    """Class bound of :func:`fmax_class_bound` and the cut overlaps it rests on.
+
+    Returns ``(bound, cuts)``; ``cuts[(p, cap)]`` is
+    ``max_overlap_bounded_rank(target, (p,), cap)`` for every cap some
+    member puts on party p, in member order.  Each party's Schmidt
+    decomposition is computed once.
+    """
+    coefficients, cuts, best = {}, {}, 0.0
+    for member in cls.members(target.dims):
+        for p, cap in enumerate(member):
+            if p not in coefficients:
+                coefficients[p] = schmidt_decompose(target, (p,)).coefficients
+            cuts[(p, cap)] = _bounded_rank_overlap(coefficients[p], cap)
+        best = max(best, min(cuts[(p, cap)] for p, cap in enumerate(member)))
+    return best, cuts
 
 
 def fmax_class_bound(target: PureState, cls: RankVectorClass) -> float:
@@ -150,13 +173,7 @@ def fmax_class_bound(target: PureState, cls: RankVectorClass) -> float:
     cut, so the member bound is the minimum over cuts; the class bound is
     the maximum over members.
     """
-    best = 0.0
-    for member in cls.members(target.dims):
-        member_bound = min(
-            max_overlap_bounded_rank(target, (p,), cap) for p, cap in enumerate(member)
-        )
-        best = max(best, member_bound)
-    return best
+    return class_bound_with_cuts(target, cls)[0]
 
 
 def fidelity_from_elements(diagonals, offdiagonals) -> float:
@@ -331,13 +348,18 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
 
     Restart r runs member k = ``r % len(members)`` and starts each
     constrained party (rank cap below its dimension) on the top-cap left
-    Schmidt vectors of a Haar-random state.  Member k draws its starts, in
-    restart order, from the one stream ``keyed_rng(seed, k, 3)``.
-    Sweeps, batched over the restarts of each member, then raise the
-    overlap of the class state supported on the local subspaces; they stop
-    once no restart's overlap rises by more than ``SEESAW_TOL``, after at
-    most ``SEESAW_SWEEPS``.  Returns the per-restart overlaps; none may
-    exceed the analytic class bound.
+    Schmidt vectors of a Haar-random state drawn from the stream
+    ``keyed_rng(seed, k, 3)``.  A member with two or more constrained
+    parties draws one start per restart, in restart order.  Sweeps,
+    batched over its restarts, then raise the overlap of the class state
+    supported on the local subspaces; they stop once no restart's overlap
+    rises by more than ``SEESAW_TOL``, after at most ``SEESAW_SWEEPS``.
+    A member with at most one constrained party projects the target by no
+    other isometry, so its first sweep is the exact optimum whatever the
+    start: it draws one start, runs one sweep and gives every one of its
+    restarts that overlap.  Returns the per-restart overlaps, one per
+    requested restart, so ``restarts`` in ``fmax_report.json`` still counts
+    every one; none may exceed the analytic class bound.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -345,12 +367,15 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
     out = np.empty(restarts)
     for k, member in enumerate(members[:restarts]):
         rng = keyed_rng(seed, k, _SEARCH_STREAM)
-        starts = [haar_random_state(target.dims, rng) for _ in range(k, restarts, len(members))]
+        constrained = [(p, cap) for p, cap in enumerate(member) if cap < target.dims[p]]
+        sweeps = SEESAW_SWEEPS if len(constrained) > 1 else 1
+        count = len(range(k, restarts, len(members))) if sweeps > 1 else 1
+        starts = [haar_random_state(target.dims, rng) for _ in range(count)]
         isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
                                     for phi in starts]))
-                      for p, cap in enumerate(member) if cap < target.dims[p]]
+                      for p, cap in constrained]
         isometries, overlaps = _sweep(target, isometries)
-        for _ in range(SEESAW_SWEEPS - 1):
+        for _ in range(sweeps - 1):
             previous = overlaps
             isometries, overlaps = _sweep(target, isometries)
             if np.all(overlaps - previous <= SEESAW_TOL):

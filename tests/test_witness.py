@@ -188,6 +188,10 @@ def _full_sweep_search(target, cls, restarts, seed):
     return out
 
 
+def _constrained_parties(member, dims=(4, 4, 2)):
+    return sum(cap < d for cap, d in zip(member, dims))
+
+
 @pytest.mark.parametrize("seed", [0, 5, 1234])
 def test_early_stopping_matches_full_sweeps(seed):
     # On a Haar-random target the overlaps depend on the starts, so the stream is checked too.
@@ -196,9 +200,35 @@ def test_early_stopping_matches_full_sweeps(seed):
             cls = RankVectorClass(ranks)
             found = search_class_overlap(target, cls, 12, seed)
             full = _full_sweep_search(target, cls, 12, seed)
-            assert np.max(np.abs(found - full)) <= 1e-12, ranks
-            if ranks == (4, 3, 2):
-                assert np.array_equal(found, full)
+            if all(_constrained_parties(m) <= 1 for m in cls.members(target.dims)):
+                # One start and one sweep give exactly what every start and sweep give.
+                assert np.array_equal(found, full), ranks
+            else:
+                assert np.max(np.abs(found - full)) <= 1e-12, ranks
+
+
+@pytest.mark.parametrize("ranks, restarts, starts, sweeps", [
+    ((4, 3, 2), 100, 2, 2),  # one constrained party per member: one start and one sweep each
+    ((4, 3, 2), 1, 1, 1),    # the one start a 1-restart search still draws and decomposes
+    ((3, 3, 2), 100, 100, None),  # two constrained parties: one start per restart
+])
+def test_search_draws_one_start_per_member_with_one_constrained_party(
+        monkeypatch, ranks, restarts, starts, sweeps):
+    calls = {"starts": 0, "sweeps": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(witness, "haar_random_state", counted("starts", witness.haar_random_state))
+    monkeypatch.setattr(witness, "_sweep", counted("sweeps", witness._sweep))
+    overlaps = search_class_overlap(make_psi442(), RankVectorClass(ranks), restarts, seed=11)
+    assert overlaps.shape == (restarts,)
+    assert calls["starts"] == starts
+    if sweeps is not None:
+        assert calls["sweeps"] == sweeps
 
 
 @settings(max_examples=40, deadline=None)
