@@ -7,7 +7,8 @@ the output directory, so outputs are byte-identical for identical configs
 apart from the timestamp header, which ``--no-timestamp`` suppresses.
 
 Exit codes: 0 success, 1 certification negative (output still valid),
-2 usage or I/O error, 3 internal consistency failure.
+2 usage or I/O error or an allocation the machine refuses, 3 internal
+consistency failure.  Every exit-2 refusal is raised to :func:`main`.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def cmd_gen_state(cfg: RunConfig, args) -> int:
         print(f"error: circuit and closed-form states differ by {mismatch:.3e}", file=sys.stderr)
         return EXIT_INTERNAL
     ranks = rank_vector(closed)
-    noisy = circuit.noisy_psi442(cfg.visibility)
+    fidelity = circuit.psi442_fidelity(circuit.noisy_psi442(cfg.visibility))
     out = _out_dir(cfg)
     _write_json(cfg, out / "state.json", {
         "dims": list(closed.dims),
@@ -166,11 +167,11 @@ def cmd_gen_state(cfg: RunConfig, args) -> int:
         "circuit_mismatch": mismatch,
         "fusion_success_probability": fused.success_probability,
         "doubling_success_probability": layered.success_probability,
-        "fidelity_vs_ideal": circuit.psi442_fidelity(noisy),
+        "fidelity_vs_ideal": fidelity,
         "reference": fixtures.REFERENCE_EXPERIMENT,
     })
     print(f"rank vector {ranks}, circuit mismatch {mismatch:.2e}, "
-          f"fidelity at visibility {cfg.visibility}: {circuit.psi442_fidelity(noisy):.4f}")
+          f"fidelity at visibility {cfg.visibility}: {fidelity:.4f}")
     return EXIT_OK
 
 
@@ -216,6 +217,18 @@ def _consistency_warnings(diagonals, offdiagonals):
     return warnings
 
 
+def _certify(what, value, std, trials, bound) -> witness.Certification:
+    """The verdict of ``witness`` and ``subspace``: ``value`` +/- ``std`` against ``bound``.
+
+    ``witness.certify_dimensionality`` decides; a spread it refuses is named as ``what``'s.
+    """
+    try:
+        return witness.certify_dimensionality(value, std, bound)
+    except ValueError as exc:
+        raise ValueError(f"{what} spread is {std} after {trials} Monte Carlo trial(s); "
+                         f"it must be a positive finite number") from exc
+
+
 def cmd_witness(cfg: RunConfig, args) -> int:
     if args.fixture:
         diagonals, offdiagonals = fixtures.load_measured_elements()
@@ -227,11 +240,7 @@ def cmd_witness(cfg: RunConfig, args) -> int:
         diagonals, offdiagonals = result.diagonals, result.offdiagonals
         fidelity, fidelity_std = result.fidelity, result.fidelity_std
         trials = result.trials
-    try:
-        cert = witness.certify_dimensionality(fidelity, fidelity_std)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; fidelity std is {fidelity_std} "
-                         f"after {trials} Monte Carlo trial(s)") from exc
+    cert = _certify("fidelity", fidelity, fidelity_std, trials, witness.FMAX_BOUND)
     out = _out_dir(cfg)
     _write_json(cfg, out / "witness_report.json", {
         "elements": {
@@ -254,23 +263,16 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 def cmd_subspace(cfg: RunConfig, args) -> int:
     pair = tuple(sorted(args.kets))
     if pair not in witness.OFFDIAG_PAIRS:
-        print(f"error: {args.kets} is not a pair of distinct signal kets "
-              f"{witness.SIGNAL_KETS}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{args.kets} is not a pair of distinct signal kets "
+                         f"{witness.SIGNAL_KETS}")
     published = fixtures.load_measured_subspace_fidelities().get(pair)
     if args.fixture:
         value, std = published
     else:
         value, std = tomography.subspace_monte_carlo(_records(cfg, args.counts), pair,
                                                      cfg.monte_carlo_trials, cfg.seed)
-        if math.isnan(value):
-            raise ValueError(f"subspace ({pair[0]}, {pair[1]}) has zero population: "
-                             f"setting 'Z' has no counts of {pair[0]} or {pair[1]}")
-        if not 0 < std < math.inf:
-            raise ValueError(f"subspace ({pair[0]}, {pair[1]}) fidelity spread is {std} after "
-                             f"{cfg.monte_carlo_trials} Monte Carlo trial(s); it must be a "
-                             f"positive finite number")
-    witnessed = witness.gme_witnessed(value)
+    witnessed = _certify(f"subspace ({pair[0]}, {pair[1]}) fidelity", value, std,
+                         cfg.monte_carlo_trials, witness.GME_BOUND).certified
     out = _out_dir(cfg)
     _write_json(cfg, out / "subspace_report.json", {
         "kets": list(pair),
@@ -433,7 +435,7 @@ def main(argv=None) -> int:
     run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return run(_load_config(args), args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

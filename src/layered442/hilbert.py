@@ -163,19 +163,20 @@ def keyed_rng(seed, *key) -> np.random.Generator:
     =====================================  ==============================
     stream                                 key
     =====================================  ==============================
-    simulated counts                       (seed, setting index)
-    Monte Carlo resampling                 (seed, setting index, 1)
+    simulated counts                       (seed, standard-plan index)
+    Monte Carlo resampling                 (seed, standard-plan index, 1)
     QKD rounds                             (seed, stream, 2); stream 1 is
                                            ``Z``, 2 to 5 the X settings of
                                            the four ``qkd.LAYERS``
     class-overlap search starts            (seed, member index, 3)
     =====================================  ==============================
 
-    Setting indices are positions in ``tomography.standard_plan()``.  The
-    third key word keeps the kinds apart at one seed: without it the
-    resampling, and the rounds of stream s, would replay the counts of
-    setting s.  The seed sequence ignores a trailing 0, so the tags are
-    non-zero.
+    A setting's standard-plan index is its position in
+    ``tomography.standard_plan()``, whatever plan it is simulated or
+    resampled in.  The third key word keeps the kinds apart at one seed:
+    without it the resampling, and the rounds of stream s, would replay the
+    counts of setting s.  The seed sequence ignores a trailing 0, so the
+    tags are non-zero.
     """
     return np.random.default_rng([_check_seed(seed), *key])
 

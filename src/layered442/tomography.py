@@ -275,13 +275,13 @@ def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> Exper
 def _plan_records(rho: DensityOperator, plan: ExperimentPlan, counts) -> list[CountRecord]:
     """Records of every setting of ``plan``, in ``setting_outcomes`` order.
 
-    ``counts(index, setting, means)`` turns a setting's mean counts, rate x
-    time x Born probabilities, into the array its records carry.
+    ``counts(setting, means)`` turns a setting's mean counts, rate x time x
+    Born probabilities, into the array its records carry.
     """
     scale = plan.rate * plan.integration_time
     records = []
-    for index, setting in enumerate(plan.settings):
-        values = counts(index, setting, scale * born_probabilities(rho, setting))
+    for setting in plan.settings:
+        values = counts(setting, scale * born_probabilities(rho, setting))
         records += [CountRecord(setting.label, outcome, c)
                     for outcome, c in zip(setting_outcomes(setting), values.tolist())]
     return records
@@ -290,21 +290,26 @@ def _plan_records(rho: DensityOperator, plan: ExperimentPlan, counts) -> list[Co
 def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> list[CountRecord]:
     """Draw Poissonian counts for every outcome of every setting.
 
-    Each setting uses an RNG stream keyed by (seed, setting index), so
-    records are reproducible regardless of how the plan is split up.
+    Each setting draws on the stream keyed by (seed, its index in
+    :func:`standard_plan`), whatever its position in ``plan``, so a setting
+    gets the same counts from any plan that holds it.  A setting outside
+    the standard plan has no stream and is refused.
     """
-    def draw(index, setting, means):
+    def draw(setting, means):
+        if setting.label not in _PLAN_INDEX:
+            raise ValueError(f"setting {setting.label!r} is not one of the "
+                             f"{len(_PLAN_INDEX)} settings of the standard plan")
         if not means.max() <= _POISSON_LAM_MAX:
             raise ValueError(f"setting {setting.label!r} has a mean count of {means.max():.10g}; "
                              f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
-        return keyed_rng(seed, index).poisson(means)
+        return keyed_rng(seed, _PLAN_INDEX[setting.label]).poisson(means)
 
     return _plan_records(rho, plan, draw)
 
 
 def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecord]:
-    """Expected counts (floats): the infinite-statistics limit."""
-    return _plan_records(rho, plan, lambda index, setting, means: means)
+    """Expected counts (floats): the infinite-statistics limit, for any settings."""
+    return _plan_records(rho, plan, lambda setting, means: means)
 
 
 def records_to_json(records, path):
@@ -538,15 +543,17 @@ def subspace_monte_carlo(records, pair, trials: int, seed: int) -> tuple[float, 
     computational setting and the correlator settings of ``pair``, each on
     the stream the full resampling uses, so the trials are those of all 21
     settings, and the same records are rejected with the same message.
-    Both are nan when the pair's central population is zero.  The spread is
-    the std over the trials with non-zero population, nan below two such
-    trials, and 0 for a single trial.
+    A pair whose central population is zero (``Z`` has no counts of either
+    ket) is refused with a ValueError.  The spread is the std over the
+    trials with non-zero population, nan below two such trials, and 0 for
+    a single trial.
     """
     _, (diag, off), (diag_samples, off_samples) = _resampled_elements(
         records, (pair,), trials, seed)
     i, j = ALL_KETS.index(pair[0]), ALL_KETS.index(pair[1])
     if not diag[i] + diag[j] > 0:
-        return float("nan"), float("nan")
+        raise ValueError(f"subspace ({pair[0]}, {pair[1]}) has zero population: "
+                         f"setting {Z_LABEL!r} has no counts of {pair[0]} or {pair[1]}")
     value = subspace_fidelity(diag[i], diag[j], off[OFFDIAG_PAIRS.index(pair)])
     fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], off_samples[:, 0])
     finite = np.count_nonzero(~np.isnan(fsub))

@@ -8,6 +8,7 @@ from layered442.circuit import apply_white_noise, noisy_psi442
 from layered442.cli import RunConfig, _build_parser, _load_config, _write_json, main
 from layered442.fixtures import REFERENCE_EXPERIMENT
 from layered442.hilbert import PureState
+from layered442 import tomography
 from layered442.qkd import LAYERS, qbers_from_counts
 from layered442.tomography import (
     count_tables,
@@ -16,6 +17,7 @@ from layered442.tomography import (
     records_to_json,
     simulate_counts,
     standard_plan,
+    subspace_monte_carlo,
 )
 
 from conftest import flat_index
@@ -342,6 +344,18 @@ class TestSubspace:
         assert ("subspace (000, 111) has zero population: "
                 "setting 'Z' has no counts of 000 or 111") in err
 
+    def test_zero_population_refused_where_found(self, tmp_path):
+        # The file above, read by the library: subspace_monte_carlo refuses the empty pair.
+        def empty_pair(data):
+            set_count(data, "Z", "000", 0)
+            set_count(data, "Z", "111", 0)
+
+        records = records_from_json(edited_counts(tmp_path, empty_pair))
+        with pytest.raises(ValueError) as raised:
+            subspace_monte_carlo(records, ("000", "111"), trials=1000, seed=1234)
+        assert str(raised.value) == ("subspace (000, 111) has zero population: "
+                                     "setting 'Z' has no counts of 000 or 111")
+
     def test_estimate_below_zero_not_witnessed(self, tmp_path):
         # (|000> - |111>)/sqrt(2) has no overlap with the + target; at seed 1
         # the raw estimate lands just below 0.
@@ -411,6 +425,40 @@ def test_absent_outcome_record_rejected(tmp_path, capsys, command, report):
     counts = edited_counts(tmp_path, drop)
     err = rejected(tmp_path, capsys, counts, *command, report=report)
     assert "setting 'Z' has no record for outcomes ['100']" in err
+
+
+SPREAD_RULE = "it must be a positive finite number"
+
+
+@pytest.mark.parametrize("args, report, line", [
+    (("--trials", "1", "witness"), "witness_report.json",
+     f"fidelity spread is 0.0 after 1 Monte Carlo trial(s); {SPREAD_RULE}"),
+    (("--trials", "1", "subspace", "000", "111"), "subspace_report.json",
+     f"subspace (000, 111) fidelity spread is 0.0 after 1 Monte Carlo trial(s); {SPREAD_RULE}"),
+    (("subspace", "000", "000"), "subspace_report.json",
+     "['000', '000'] is not a pair of distinct signal kets ('000', '111', '220', '331')"),
+], ids=["witness-spread", "subspace-spread", "subspace-pair"])
+def test_refusal_is_one_stderr_line(tmp_path, capsys, args, report, line):
+    # witness and subspace word the spread refusal alike; every refusal is printed by main.
+    code, out = run(tmp_path, *args)
+    assert code == 2
+    assert not (out / report).exists()
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def test_refused_allocation_exits_2(tmp_path, capsys, monkeypatch):
+    # A refusal stands in for a real allocation, which an overcommitting host might attempt.
+    message = ("Unable to allocate 2.33 TiB for an array with shape (10000000000, 32) "
+               "and data type int64")
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tomography, "monte_carlo_errors", refuse)
+    code, out = run(tmp_path, "--trials", "10000000000", "witness")
+    assert code == 2
+    assert not (out / "witness_report.json").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestQkd:

@@ -226,6 +226,32 @@ class TestSimulateCounts:
             recs = simulate_counts(rho, plan, seed)
             assert all(r.counts == 0 for r in recs if r.outcome == "100")
 
+    def test_any_plan_draws_the_standard_plans_records(self):
+        # Each setting draws on its standard-plan stream, whatever its position in the plan.
+        rho = noisy_psi442(0.8493)
+        plan = standard_plan()
+        full = {}
+        for r in simulate_counts(rho, plan, seed=5):
+            full.setdefault(r.setting, []).append(r)
+        reversed_plan = ExperimentPlan(plan.rate, plan.integration_time, plan.settings[::-1])
+        plans = [reversed_plan, ExperimentPlan(plan.rate, plan.integration_time,
+                                               (parse_setting_label("Y01-X01-Y01"),))]
+        for part in plans:
+            got = {}
+            for r in simulate_counts(rho, part, seed=5):
+                got.setdefault(r.setting, []).append(r)
+            assert got == {label: full[label] for label in got}
+            assert list(got) == [s.label for s in part.settings]
+
+    def test_setting_outside_standard_plan_refused(self):
+        rho = noisy_psi442(0.8493)
+        plan = ExperimentPlan(0.66, 1800.0, (parse_setting_label("Z"),
+                                             parse_setting_label("X02-Z-Z")))
+        with pytest.raises(ValueError, match="setting 'X02-Z-Z' is not one of the 21 settings"):
+            simulate_counts(rho, plan, seed=5)
+        # Expected counts draw nothing and take any setting.
+        assert {r.setting for r in exact_records(rho, plan)} == {"Z", "X02-Z-Z"}
+
     def test_time_doubles_counts(self):
         rho = noisy_psi442(0.9)
         short = exact_records(rho, ExperimentPlan(0.66, 1800.0, (parse_setting_label("Z"),)))
@@ -451,15 +477,19 @@ def test_subspace_monte_carlo_equals_full_resampling(seed, trials, integration_t
             assert str(raised.value) == str(exc)
         return
     for k, pair in enumerate(OFFDIAG_PAIRS):
-        # The reference from all 21 settings' draws: nan for an empty subspace,
+        # The reference from all 21 settings' draws: an empty subspace is refused,
         # else the nanstd over finite trials (nan below two, 0 for one trial).
         i, j = flat_index(pair[0]), flat_index(pair[1])
-        want = [math.nan, math.nan]
-        if diag[i] + diag[j] > 0:
-            fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], off_samples[:, k])
-            finite = np.count_nonzero(~np.isnan(fsub))
-            want = [subspace_fidelity(diag[i], diag[j], off[k]),
-                    np.nanstd(fsub, ddof=1) if finite > 1 else 0.0 if trials == 1 else math.nan]
+        if not diag[i] + diag[j] > 0:
+            with pytest.raises(ValueError) as raised:
+                subspace_monte_carlo(recs, pair, trials, seed)
+            assert str(raised.value) == (f"subspace ({pair[0]}, {pair[1]}) has zero population: "
+                                         f"setting 'Z' has no counts of {pair[0]} or {pair[1]}")
+            continue
+        fsub = subspace_fidelity(diag_samples[:, i], diag_samples[:, j], off_samples[:, k])
+        finite = np.count_nonzero(~np.isnan(fsub))
+        want = [subspace_fidelity(diag[i], diag[j], off[k]),
+                np.nanstd(fsub, ddof=1) if finite > 1 else 0.0 if trials == 1 else math.nan]
         value, spread = subspace_monte_carlo(recs, pair, trials, seed)
         # Bitwise, so nan equals nan.
         assert np.array([value, spread]).tobytes() == np.array(want).tobytes(), pair
