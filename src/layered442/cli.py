@@ -264,7 +264,7 @@ def cmd_subspace(cfg: RunConfig, args) -> int:
     pair = tuple(sorted(args.kets))
     if pair not in witness.OFFDIAG_PAIRS:
         raise ValueError(f"{args.kets} is not a pair of distinct signal kets "
-                         f"{witness.SIGNAL_KETS}")
+                         f"{circuit.SIGNAL_KETS}")
     published = fixtures.load_measured_subspace_fidelities().get(pair)
     if args.fixture:
         value, std = published
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return run(_load_config(args), args)
-    except (OSError, ValueError, KeyError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,8 @@ carries eigenvalue 0.
 
 Counts are Poissonian: every outcome of every setting is an independent
 Poisson draw with mean rate x time x probability.  Count files are JSON
-arrays of ``{"setting", "outcome", "counts"}`` records.
+arrays of records with exactly the keys ``setting``, ``outcome`` and
+``counts``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .witness import (
 )
 
 __all__ = [
-    "DIMS_442",
     "LOW_STATS_THRESHOLD",
     "MeasurementSetting",
     "CountRecord",
@@ -221,7 +221,7 @@ def _outcome_values(tokens, digits) -> np.ndarray:
     return np.append(functools.reduce(np.kron, factors), 0.0)
 
 
-def element_plan(bra: str, ket: str) -> tuple:
+def _element_plan(bra: str, ket: str) -> tuple:
     """Settings whose expectations give Re[<bra|rho|ket>] through ``witness``.
 
     Returns entries ``(setting_label, sign, outcome_values)`` in the
@@ -248,7 +248,7 @@ def element_plan(bra: str, ket: str) -> tuple:
     return tuple(out)
 
 
-ELEMENT_PLANS = {pair: element_plan(*pair) for pair in OFFDIAG_PAIRS}
+ELEMENT_PLANS = {pair: _element_plan(*pair) for pair in OFFDIAG_PAIRS}
 
 # Each correlator setting's 0/1 map, shape (3, outcomes), onto its +1, -1 and
 # 0 eigenvalue classes: the estimator reads a setting only through these sums.
@@ -330,12 +330,21 @@ def records_to_json(records, path):
 def _read_json(path, role: str):
     """The JSON value in the file at ``path``.
 
-    A file that does not parse raises a ValueError that names it as ``role``
-    (e.g. "count file") and gives the cause.
+    A file that does not parse, or that repeats a key in one object, raises
+    a ValueError that names it as ``role`` (e.g. "count file") and gives the
+    cause.
     """
+    def unique_keys(pairs):
+        value = dict(pairs)
+        if len(value) < len(pairs):
+            seen = set()  # The first key met twice; set.add returns None.
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise ValueError(f"{role} {path} repeats the key {key!r} in one object")
+        return value
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError(f"{role} {path} nests JSON too deeply to parse") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -353,9 +362,11 @@ def records_from_json(path) -> list[CountRecord]:
     for index, d in enumerate(data):
         if not isinstance(d, dict):
             raise ValueError(f"count record {index} is not a JSON object: {d!r}")
-        if not d.keys() >= _RECORD_KEYS:
+        if d.keys() != _RECORD_KEYS:
             missing = [key for key in ("setting", "outcome", "counts") if key not in d]
-            raise ValueError(f"count record {index} lacks {', '.join(map(repr, missing))}")
+            cause = (f"lacks {', '.join(map(repr, missing))}" if missing
+                     else f"has unknown keys {sorted(d.keys() - _RECORD_KEYS)}")
+            raise ValueError(f"count record {index} {cause}")
         records.append(CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"]))
     return records
 

@@ -22,8 +22,6 @@ from .circuit import ALL_KETS, SIGNAL_KETS
 from .hilbert import PureState, haar_random_state, keyed_rng, schmidt_decompose
 
 __all__ = [
-    "ALL_KETS",
-    "SIGNAL_KETS",
     "OFFDIAG_PAIRS",
     "FMAX_BOUND",
     "GME_BOUND",

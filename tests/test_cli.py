@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from layered442.circuit import apply_white_noise, noisy_psi442
 from layered442.cli import RunConfig, _build_parser, _load_config, _write_json, main
 from layered442.fixtures import REFERENCE_EXPERIMENT
 from layered442.hilbert import PureState
-from layered442 import tomography
+from layered442 import cli, tomography
 from layered442.qkd import LAYERS, qbers_from_counts
 from layered442.tomography import (
     count_tables,
@@ -49,13 +50,14 @@ MALFORMED_COUNTS = pytest.mark.parametrize("edit, cause", [
     (lambda d: d[0].update(counts=float("inf")), f"{BAD_COUNT} got inf"),
     (lambda d: d.__setitem__(3, ["Z", "000", 3]), "count record 3 is not a JSON object"),
     (lambda d: d[5].pop("outcome"), "count record 5 lacks 'outcome'"),
+    (lambda d: d[5].update(note="x"), "count record 5 has unknown keys ['note']"),
     (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
     (lambda d: d[0].update(setting="XAB-X01-X01"),
      "setting 'XAB-X01-X01' token 'XAB' is not Z or X/Y followed by two level digits"),
     (lambda d: d[0].update(setting="X00-X01-X01"),
      "setting 'X00-X01-X01' token 'X00' needs two distinct levels"),
 ], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
-        "duplicate", "letter-levels", "equal-levels"])
+        "unknown-key", "duplicate", "letter-levels", "equal-levels"])
 
 # Reads Z, X02-X02-Z and Y02-Y02-Z only.
 SUBSPACE_000_220 = ("subspace", "000", "220")
@@ -231,7 +233,8 @@ class TestWitness:
 
     def test_consistency_warnings_flag_excess_coherence(self):
         from layered442.cli import _consistency_warnings
-        from layered442.witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
+        from layered442.circuit import ALL_KETS
+        from layered442.witness import OFFDIAG_PAIRS, ElementEstimate
 
         diags = [ElementEstimate(k, k, 1 / 32) for k in ALL_KETS]
         offs = [ElementEstimate(a, b, 0.2 if (a, b) == ("000", "111") else 0.0)
@@ -242,7 +245,8 @@ class TestWitness:
     @pytest.mark.parametrize("coherence, warned", [(0.05, False), (0.055, True)])
     def test_consistency_bound_carries_diagonal_error(self, coherence, warned):
         from layered442.cli import _consistency_warnings
-        from layered442.witness import ALL_KETS, OFFDIAG_PAIRS, ElementEstimate
+        from layered442.circuit import ALL_KETS
+        from layered442.witness import OFFDIAG_PAIRS, ElementEstimate
 
         # bound 1/32 with sigma_B = 0.01 / sqrt(2): the 3 sigma limit is 0.0527
         diags = [ElementEstimate(k, k, 1 / 32, 0.01) for k in ALL_KETS]
@@ -412,12 +416,16 @@ def test_unresamplable_class_sum_rejected(tmp_path, capsys, command, report):
             "at most 9.223372006e+18 can be resampled") in err
 
 
-@pytest.mark.parametrize("command, report", [
+# Every command that reads counts.
+COUNT_COMMANDS = pytest.mark.parametrize("command, report", [
     (("witness",), "witness_report.json"),
     (SUBSPACE_000_220, "subspace_report.json"),
     (("estimate",), "estimates.csv"),
     (("qkd",), "qkd_report.csv"),
 ], ids=["witness", "subspace", "estimate", "qkd"])
+
+
+@COUNT_COMMANDS
 def test_absent_outcome_record_rejected(tmp_path, capsys, command, report):
     # Read as 0 counts, files with dropped records were certified.
     def drop(data):
@@ -425,6 +433,28 @@ def test_absent_outcome_record_rejected(tmp_path, capsys, command, report):
     counts = edited_counts(tmp_path, drop)
     err = rejected(tmp_path, capsys, counts, *command, report=report)
     assert "setting 'Z' has no record for outcomes ['100']" in err
+
+
+@COUNT_COMMANDS
+def test_repeated_counts_key_rejected(tmp_path, capsys, command, report):
+    # The last of two values would win silently: here the Z/000 record's 0.
+    code, out = run(tmp_path, "simulate-counts")
+    assert code == 0
+    counts = tmp_path / "repeated.json"
+    counts.write_text(re.sub(r'"counts": (\d+)', r'"counts": \1, "counts": 0',
+                             (out / "counts.json").read_text(), count=1))
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert err == f"error: count file {counts} repeats the key 'counts' in one object\n"
+
+
+def test_key_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # Records are checked key by key, so a KeyError is a fault of the program: it propagates.
+    def fault(cfg, args):
+        raise KeyError("counts")
+
+    monkeypatch.setattr(cli, "cmd_witness", fault)
+    with pytest.raises(KeyError, match="counts"):
+        run(tmp_path, "witness")
 
 
 SPREAD_RULE = "it must be a positive finite number"
@@ -715,6 +745,15 @@ class TestConfig:
             flags = ["--config", "c.json", *flags]
         assert main([*flags, "witness"]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key_rejected(self, tmp_path, monkeypatch, capsys):
+        # Read by the last value, this file would run with seed 7.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text('{"seed": 4294967296, "seed": 7}')
+        assert main(["--config", "c.json", "gen-state"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config file c.json repeats the key 'seed' in one object\n"
         assert not (tmp_path / "out").exists()
 
     def test_invalid_visibility(self, tmp_path):

@@ -1,23 +1,66 @@
+"""One public surface: each public name is listed in, and imported from, one module."""
+
 import ast
 import importlib
 import inspect
+import pkgutil
+import types
 
 import pytest
 
 import layered442
 
-
-def _package_imports(module_name: str) -> list[str]:
-    """Names that layered442/__init__.py imports from one of its modules."""
-    tree = ast.parse(inspect.getsource(layered442))
-    return [alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module_name
-            for alias in node.names]
+# Every module but ``cli``, the command-line entry point, which is run, not imported from.
+MODULES = ["hilbert", "circuit", "witness", "tomography", "qkd", "fixtures"]
 
 
-@pytest.mark.parametrize("module_name",
-                         ["hilbert", "circuit", "witness", "tomography", "qkd", "fixtures"])
+def _top_level_definitions(module) -> dict[str, type]:
+    """Names bound at the top level of ``module``'s source, each to its kind of statement."""
+    defined = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = type(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, ast.Assign) for t in targets if isinstance(t, ast.Name))
+    return defined
+
+
+def _module(name):
+    return importlib.import_module(f"layered442.{name}")
+
+
+def test_package_holds_only_submodules_and_dunders():
+    for name in MODULES:
+        _module(name)
+    # Importing a submodule binds it in the package, as does reading the ``data`` directory.
+    others = [name for name, value in vars(layered442).items()
+              if not (name.startswith("__") and name.endswith("__"))
+              and not (isinstance(value, types.ModuleType)
+                       and value.__name__ == f"layered442.{name}")]
+    assert others == []
+    assert {m.name for m in pkgutil.iter_modules(layered442.__path__)} == set(MODULES) | {"cli"}
+
+
+@pytest.mark.parametrize("module_name", MODULES)
 def test_exported_names_exist(module_name):
-    module = importlib.import_module(f"layered442.{module_name}")
-    assert [n for n in module.__all__ if not hasattr(module, n)] == []
-    assert [n for n in _package_imports(module_name) if not hasattr(module, n)] == []
+    # Each __all__ name is defined by its module, not imported into it.
+    module = _module(module_name)
+    defined = _top_level_definitions(module)
+    assert [n for n in module.__all__ if n not in defined] == []
+
+
+def test_no_name_has_two_homes():
+    homes = {}
+    for name in MODULES:
+        for public in _module(name).__all__:
+            homes.setdefault(public, []).append(name)
+    assert {n: h for n, h in homes.items() if len(h) > 1} == {}
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_public_function_and_class_is_in_all(module_name):
+    module = _module(module_name)
+    public = [n for n, kind in _top_level_definitions(module).items()
+              if kind in (ast.FunctionDef, ast.ClassDef) and not n.startswith("_")]
+    assert [n for n in public if n not in module.__all__] == []

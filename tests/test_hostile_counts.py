@@ -7,7 +7,8 @@ exit 2 prints an error and leaves no report; every report written parses
 strictly; QBERs and key rates stay in [0, 1], with the pessimistic rate
 at most the mean.  A count, or a correlator's eigenvalue-class sum, that
 numpy's Poisson sampler cannot resample is refused by setting name, and so
-is a setting whose records lack any of its outcomes.
+is a setting whose records lack any of its outcomes.  A record with a key
+beyond ``setting``, ``outcome`` and ``counts`` is refused by that key.
 """
 
 import contextlib
@@ -40,6 +41,8 @@ LABELS = required_settings()
 # numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max).
 POISSON_LIMIT = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
+RECORD_KEYS = {"setting", "outcome", "counts"}
+
 # Each command that reads counts and the report it writes.
 COMMANDS = [
     (("witness",), "witness_report.json"),
@@ -70,6 +73,8 @@ MUTATIONS = st.one_of(
     _on_outcome("spike", st.integers(10**12, 10**18)),
     _on_outcome("omit"),
     st.tuples(st.just("drop"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("extra-key"), st.integers(0, 2**32 - 1),
+              st.sampled_from(["note", "count", "Setting", ""])),
 )
 
 
@@ -111,6 +116,10 @@ def mutated(mutations) -> list[dict]:
             # One record dropped.
             label, outcome, _ = args
             data = [r for r in data if (r["setting"], r["outcome"]) != (label, outcome)]
+        elif kind == "extra-key":
+            # One record gains a key that is not a record key.
+            index, key = args
+            data[index % len(data)][key] = 0
         else:
             # 30% of the records dropped.
             dropped = set(random.Random(args[0]).sample(range(len(data)), round(0.3 * len(data))))
@@ -140,6 +149,19 @@ def partial_settings(data) -> set:
     for r in data:
         present.setdefault(r["setting"], set()).add(r["outcome"])
     return {label for label, outcomes in present.items() if outcomes != set(_outcomes(label))}
+
+
+def first_unknown_keys(data) -> list:
+    """The unknown keys of the first record refused as records are read; [] if it has none.
+
+    Records are read in file order, each checked for its keys and then its count.
+    """
+    for r in data:
+        if r.keys() != RECORD_KEYS:
+            return sorted(r.keys() - RECORD_KEYS)
+        if r["counts"] > POISSON_LIMIT:
+            return []
+    return []
 
 
 def strict_json(text):
@@ -182,8 +204,12 @@ def check_report(command, path):
 @example(mutations=[("spike", "X01-X01-X01", "+++", 5 * 10**12),
                     ("spike", "X01-X01-X01", "+--", 5 * 10**12), ("scale", 1e6),
                     ("omit", "Z", "100", None)])
+# A key is named before a count beyond the limit in a later record.
+@example(mutations=[("extra-key", 0, "note"), ("spike", "Z", "111", 10**18),
+                    ("scale", 10.0)])
 def test_hostile_count_files_end_cleanly(mutations):
     data = mutated(mutations)
+    unknown = first_unknown_keys(data)
     over_count, over_sum = unresamplable(data)
     partial = partial_settings(data)
     complete = {r["setting"] for r in data} >= set(LABELS)
@@ -206,6 +232,8 @@ def test_hostile_count_files_end_cleanly(mutations):
             # checked, then class sums, before any other check.
             named = (over_count or partial
                      or (over_sum if complete and command[0] in RESAMPLING else set()))
-            if named:
+            if unknown:
+                assert code == 2 and f"has unknown keys {unknown}" in err, (command, err)
+            elif named:
                 assert code == 2 and any(f"setting {label!r}" in err for label in named), (
                     command, err)

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layered442.circuit import make_psi442
+from layered442.circuit import ALL_KETS, make_psi442
 from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements
 from layered442.hilbert import PureState, fidelity_pure, haar_random_state, schmidt_decompose
 from layered442 import witness
 from layered442.witness import (
-    ALL_KETS,
     OFFDIAG_PAIRS,
     Certification,
     ElementEstimate,
