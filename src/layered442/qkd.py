@@ -1,8 +1,9 @@
 """Layered key extraction and asymptotic rate analysis.
 
-The four signal kets of the layered state split into four key layers:
-two three-party GHZ layers ({000, 111} and {220, 331}) and two two-party
-layers shared by A and B alone ({00, 22} and {11, 33}).  Each party maps
+Each key layer is a pair of the layered state's four signal kets, shared
+by the parties on which the two kets differ: two three-party GHZ layers
+(000/111 and 220/331) and two layers shared by A and B alone (000/220 and
+111/331, which agree on C and read 00/22 and 11/33).  Each party maps
 its outcome digit to a key bit; rounds outside a layer's subspace are
 sifted away.  Error rates are quoted in the computational (Z) basis,
 pairwise and three-way, and in the superposition (X) basis via sigma_x
@@ -26,7 +27,8 @@ import numpy as np
 
 from .circuit import ALL_KETS, DIMS_442
 from .hilbert import DensityOperator, keyed_rng
-from .tomography import born_probabilities, parse_setting_label, setting_outcomes
+from .tomography import ELEMENT_PLANS, born_probabilities, setting_outcomes
+from .witness import OFFDIAG_PAIRS
 
 __all__ = [
     "LayerSpec",
@@ -56,43 +58,52 @@ _ROUND_STREAM = 2
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One key layer: participants and their computational ket pair."""
+    """One key layer: a signal pair of ``witness.OFFDIAG_PAIRS``.
+
+    The participants are the parties on which the two kets differ; the
+    rest follows from their digits there.
+    """
 
     layer_id: str
-    participants: tuple[str, ...]
-    signal_kets: tuple[str, str]
+    kets: tuple[str, str]
 
     def __post_init__(self):
-        if len(self.signal_kets[0]) != len(self.participants):
-            raise ValueError("ket length must match participant count")
+        if self.kets not in OFFDIAG_PAIRS:
+            raise ValueError(f"layer {self.layer_id!r}: kets {self.kets!r} are not a signal "
+                             "pair of witness.OFFDIAG_PAIRS")
 
     @property
     def party_indices(self) -> tuple[int, ...]:
-        return tuple(PARTY_NAMES.index(p) for p in self.participants)
+        return tuple(p for p, (a, b) in enumerate(zip(*self.kets)) if a != b)
+
+    @property
+    def participants(self) -> tuple[str, ...]:
+        return tuple(PARTY_NAMES[p] for p in self.party_indices)
+
+    @property
+    def signal_kets(self) -> tuple[str, str]:
+        """The two kets on the participants alone, e.g. ("00", "22")."""
+        return tuple("".join(ket[p] for p in self.party_indices) for ket in self.kets)
 
     @property
     def digit_pairs(self) -> tuple[tuple[int, int], ...]:
-        k0, k1 = self.signal_kets
-        return tuple((int(a), int(b)) for a, b in zip(k0, k1))
+        return tuple((int(a), int(b)) for a, b in zip(*self.signal_kets))
 
     @property
     def is_tripartite(self) -> bool:
-        return len(self.participants) == 3
+        return len(self.party_indices) == 3
 
     @property
     def x_setting_label(self) -> str:
-        """Correlator setting measuring sigma_x on each layer subspace."""
-        tokens = ["Z"] * len(PARTY_NAMES)
-        for party, (a, b) in zip(self.party_indices, self.digit_pairs):
-            tokens[party] = f"X{min(a, b)}{max(a, b)}"
-        return "-".join(tokens)
+        """Correlator setting measuring sigma_x on each participant's two levels."""
+        return ELEMENT_PLANS[self.kets][0][0]
 
 
 LAYERS = (
-    LayerSpec("ABC-layer-0", ("A", "B", "C"), ("000", "111")),
-    LayerSpec("ABC-layer-1", ("A", "B", "C"), ("220", "331")),
-    LayerSpec("AB-layer-0", ("A", "B"), ("00", "22")),
-    LayerSpec("AB-layer-1", ("A", "B"), ("11", "33")),
+    LayerSpec("ABC-layer-0", ("000", "111")),
+    LayerSpec("ABC-layer-1", ("220", "331")),
+    LayerSpec("AB-layer-0", ("000", "220")),
+    LayerSpec("AB-layer-1", ("111", "331")),
 )
 
 
@@ -186,15 +197,13 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     digits = np.array([[int(ket[p]) for p in layer.party_indices] for ket in ALL_KETS])
     k0, k1 = np.array(layer.digit_pairs).T
     key_map = key_map_abc if layer.is_tripartite else key_map_ab
-    if any(key_map(a) == key_map(b) for a, b in layer.digit_pairs):
-        raise ValueError(f"layer {layer.layer_id}: the key map gives both kets the same bit")
     sifted = ((digits == k0) | (digits == k1)).all(axis=1)
     bits = np.array([key_map(k) for k in range(max(DIMS_442))])[digits]
     pairs = ((0, 1), (0, 2), (1, 2)) if layer.is_tripartite else ()
     pair_keys = tuple((layer.participants[i] + layer.participants[j]).lower() for i, j in pairs)
     z_rows = [sifted, (bits != bits[:, :1]).any(axis=1)]
     z_rows += [bits[:, i] != bits[:, j] for i, j in pairs]
-    x_outcomes = setting_outcomes(parse_setting_label(layer.x_setting_label))
+    x_outcomes = setting_outcomes(layer.x_setting_label)
     x_rows = [[o != "rest" for o in x_outcomes],
               [o != "rest" and sum(o[p] == "-" for p in layer.party_indices) % 2 == 1
                for o in x_outcomes]]
@@ -217,7 +226,7 @@ def round_tables(samples: dict, layer: LayerSpec | None = None) -> dict[str, np.
         if basis not in samples:
             continue
         label = layer.x_setting_label if basis == "X" else "Z"
-        n_outcomes = len(setting_outcomes(parse_setting_label(label)))
+        n_outcomes = len(setting_outcomes(label))
         rounds = np.asarray(samples[basis], dtype=int)
         if rounds.size == 0:
             raise ValueError("empty sample set")
@@ -342,7 +351,7 @@ def _draw_indices(p: np.ndarray, n: int, rng: np.random.Generator, label: str) -
 
 def _draw_outcomes(rho: DensityOperator, label: str, n: int, seed: int, stream: int) -> np.ndarray:
     """n outcome indices of a setting, Born-rule draws from the stream (seed, stream, 2)."""
-    p = born_probabilities(rho, parse_setting_label(label))
+    p = born_probabilities(rho, label)
     return _draw_indices(p, n, keyed_rng(seed, stream, _ROUND_STREAM), label)
 
 

@@ -34,7 +34,6 @@ from .hilbert import DensityOperator, keyed_rng
 from .witness import (
     OFFDIAG_PAIRS,
     ElementEstimate,
-    _checked_diagonal_sum,
     fidelity_from_arrays,
     offdiag_from_correlators,
     offdiag_from_pair_correlators,
@@ -43,11 +42,10 @@ from .witness import (
 
 __all__ = [
     "LOW_STATS_THRESHOLD",
-    "MeasurementSetting",
+    "ELEMENT_PLANS",
     "CountRecord",
     "ExperimentPlan",
     "MonteCarloResult",
-    "MissingSettingError",
     "parse_setting_label",
     "setting_outcomes",
     "born_probabilities",
@@ -74,27 +72,6 @@ _RESAMPLE_STREAM = 1
 # numpy's Poisson sampler rejects means above this (int64 max - 10 sqrt(int64
 # max)); a larger count could be read but never resampled.
 _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
-
-
-class MissingSettingError(ValueError):
-    """Required measurement settings are absent from the count records."""
-
-    def __init__(self, labels):
-        self.labels = (labels,) if isinstance(labels, str) else tuple(labels)
-        noun = "setting" if len(self.labels) == 1 else "settings"
-        super().__init__(f"missing measurement {noun}: {', '.join(map(repr, self.labels))}")
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One projective configuration: per-party ("Z",) or (axis, a, b).
-
-    Built by :func:`parse_setting_label`, which checks every party's
-    axis and level pair against ``DIMS_442``.
-    """
-
-    label: str
-    party_ops: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -126,11 +103,11 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Counting rate (1/s), integration time per setting (s), settings."""
+    """Counting rate (1/s), integration time per setting (s), setting labels."""
 
     rate: float
     integration_time: float
-    settings: tuple[MeasurementSetting, ...]
+    settings: tuple[str, ...]
 
     def __post_init__(self):
         if not (0 < self.rate < math.inf and 0 < self.integration_time < math.inf):
@@ -138,10 +115,13 @@ class ExperimentPlan:
 
 
 @functools.cache
-def parse_setting_label(label: str) -> MeasurementSetting:
-    """Parse a label such as ``Z`` or ``X01-Y01-Z`` into a setting on ``DIMS_442``."""
+def parse_setting_label(label: str) -> tuple[tuple, ...]:
+    """Per-party ops, ("Z",) or (axis, a, b), of a label such as ``Z`` or ``X01-Y01-Z``.
+
+    The one check of a label's axes and levels against ``DIMS_442``.
+    """
     if label == Z_LABEL:
-        return MeasurementSetting(Z_LABEL, (("Z",),) * len(DIMS_442))
+        return (("Z",),) * len(DIMS_442)
     tokens = label.split("-")
     if len(tokens) != len(DIMS_442):
         raise ValueError(f"setting {label!r} does not match {len(DIMS_442)} parties")
@@ -160,16 +140,16 @@ def parse_setting_label(label: str) -> MeasurementSetting:
         if not (a < d and b < d):
             raise ValueError(f"{where} has levels beyond party dimension {d}")
         ops.append((token[0], a, b))
-    return MeasurementSetting(label, tuple(ops))
+    return tuple(ops)
 
 
 @functools.cache
-def setting_outcomes(setting: MeasurementSetting) -> tuple[str, ...]:
+def setting_outcomes(label: str) -> tuple[str, ...]:
     """Outcome labels in canonical order (residual last for sigma settings)."""
     per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
-                 for op, d in zip(setting.party_ops, DIMS_442)]
-    labels = tuple("".join(chars) for chars in itertools.product(*per_party))
-    return labels if setting.label == Z_LABEL else labels + ("rest",)
+                 for op, d in zip(parse_setting_label(label), DIMS_442)]
+    outcomes = tuple("".join(chars) for chars in itertools.product(*per_party))
+    return outcomes if label == Z_LABEL else outcomes + ("rest",)
 
 
 def _party_kets(op, d: int) -> np.ndarray:
@@ -184,21 +164,21 @@ def _party_kets(op, d: int) -> np.ndarray:
 
 
 @functools.cache
-def _outcome_kets(setting: MeasurementSetting) -> np.ndarray:
+def _outcome_kets(label: str) -> np.ndarray:
     """A setting's outcome kets as read-only rows: Kronecker products of the party kets."""
-    ops = zip(setting.party_ops, DIMS_442)
+    ops = zip(parse_setting_label(label), DIMS_442)
     kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in ops])
     kets.flags.writeable = False
     return kets
 
 
-def born_probabilities(rho: DensityOperator, setting: MeasurementSetting) -> np.ndarray:
+def born_probabilities(rho: DensityOperator, label: str) -> np.ndarray:
     """Outcome probabilities of a setting on ``rho`` (Born rule), in ``setting_outcomes`` order."""
     if rho.dims != DIMS_442:
         raise ValueError(f"state dims {rho.dims} are not {DIMS_442}")
-    kets = _outcome_kets(setting)
+    kets = _outcome_kets(label)
     probs = np.einsum("nj,jk,nk->n", kets.conj(), rho.matrix, kets).real.clip(0.0)
-    if setting.label == Z_LABEL:
+    if label == Z_LABEL:
         return probs
     # Summed left to right (Python's sum): np.sum's pairwise order would change the last bits.
     return np.append(probs, max(0.0, 1.0 - sum(probs.tolist())))
@@ -256,10 +236,10 @@ ELEMENT_PLANS = {pair: _element_plan(*pair) for pair in OFFDIAG_PAIRS}
 _CLASS_MAPS = {label: np.array([values > 0, values < 0, values == 0], dtype=float)
                for pair in OFFDIAG_PAIRS for label, _, values in ELEMENT_PLANS[pair]}
 
-# The computational setting plus the 20 correlators, parsed once.
-_STANDARD_SETTINGS = tuple(parse_setting_label(label) for label in dict.fromkeys(
+# The computational setting plus the 20 correlators.
+_STANDARD_SETTINGS = tuple(dict.fromkeys(
     [Z_LABEL] + [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]))
-_PLAN_INDEX = {s.label: index for index, s in enumerate(_STANDARD_SETTINGS)}
+_PLAN_INDEX = {label: index for index, label in enumerate(_STANDARD_SETTINGS)}
 
 
 def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> ExperimentPlan:
@@ -275,15 +255,15 @@ def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> Exper
 def _plan_records(rho: DensityOperator, plan: ExperimentPlan, counts) -> list[CountRecord]:
     """Records of every setting of ``plan``, in ``setting_outcomes`` order.
 
-    ``counts(setting, means)`` turns a setting's mean counts, rate x time x
+    ``counts(label, means)`` turns a setting's mean counts, rate x time x
     Born probabilities, into the array its records carry.
     """
     scale = plan.rate * plan.integration_time
     records = []
-    for setting in plan.settings:
-        values = counts(setting, scale * born_probabilities(rho, setting))
-        records += [CountRecord(setting.label, outcome, c)
-                    for outcome, c in zip(setting_outcomes(setting), values.tolist())]
+    for label in plan.settings:
+        values = counts(label, scale * born_probabilities(rho, label))
+        records += [CountRecord(label, outcome, c)
+                    for outcome, c in zip(setting_outcomes(label), values.tolist())]
     return records
 
 
@@ -295,21 +275,21 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
     gets the same counts from any plan that holds it.  A setting outside
     the standard plan has no stream and is refused.
     """
-    def draw(setting, means):
-        if setting.label not in _PLAN_INDEX:
-            raise ValueError(f"setting {setting.label!r} is not one of the "
+    def draw(label, means):
+        if label not in _PLAN_INDEX:
+            raise ValueError(f"setting {label!r} is not one of the "
                              f"{len(_PLAN_INDEX)} settings of the standard plan")
         if not means.max() <= _POISSON_LAM_MAX:
-            raise ValueError(f"setting {setting.label!r} has a mean count of {means.max():.10g}; "
+            raise ValueError(f"setting {label!r} has a mean count of {means.max():.10g}; "
                              f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
-        return keyed_rng(seed, _PLAN_INDEX[setting.label]).poisson(means)
+        return keyed_rng(seed, _PLAN_INDEX[label]).poisson(means)
 
     return _plan_records(rho, plan, draw)
 
 
 def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecord]:
     """Expected counts (floats): the infinite-statistics limit, for any settings."""
-    return _plan_records(rho, plan, lambda setting, means: means)
+    return _plan_records(rho, plan, lambda label, means: means)
 
 
 def records_to_json(records, path):
@@ -390,7 +370,7 @@ def count_tables(records) -> dict[str, np.ndarray]:
         table[r.outcome] = float(r.counts)
     tables = {}
     for label, table in by_setting.items():
-        order = setting_outcomes(parse_setting_label(label))
+        order = setting_outcomes(label)
         unknown = set(table) - set(order)
         if unknown:
             raise ValueError(f"unknown outcomes {sorted(unknown)} for setting {label!r}")
@@ -424,7 +404,7 @@ def _elements(sums, pairs) -> tuple[np.ndarray, np.ndarray]:
 
 def required_settings() -> tuple[str, ...]:
     """Labels every witness estimation needs."""
-    return tuple(s.label for s in _STANDARD_SETTINGS)
+    return _STANDARD_SETTINGS
 
 
 def _class_sums(records) -> dict[str, np.ndarray]:
@@ -436,7 +416,8 @@ def _class_sums(records) -> dict[str, np.ndarray]:
     tables = count_tables(records)
     missing = [label for label in required_settings() if label not in tables]
     if missing:
-        raise MissingSettingError(missing)
+        noun = "setting" if len(missing) == 1 else "settings"
+        raise ValueError(f"missing measurement {noun}: {', '.join(map(repr, missing))}")
     sums = {Z_LABEL: tables[Z_LABEL]}
     for label, classes in _CLASS_MAPS.items():
         sums[label] = classes @ tables[label]
@@ -496,20 +477,25 @@ def _resampled_elements(records, pairs, trials: int, seed: int):
     Central elements cover all six pairs, resampled ones (trials first) only
     ``pairs``: ``Z`` and their settings are drawn, each on the stream (seed,
     index in :func:`standard_plan`, 1), so any subset of pairs gets the
-    draws the full set would.  The checks do not depend on ``pairs``.
+    draws the full set would.  The checks do not depend on ``pairs``: a
+    ``Z`` total of 0, central or in any trial, leaves the diagonals
+    undefined and is refused.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sums = _class_sums(records)
-    central = _elements(sums, OFFDIAG_PAIRS)
-    _checked_diagonal_sum(central[0])
     resampled = {}
     for label in [Z_LABEL] + [label for pair in pairs for label, _, _ in ELEMENT_PLANS[pair]]:
         rng = keyed_rng(seed, _PLAN_INDEX[label], _RESAMPLE_STREAM)
         resampled[label] = rng.poisson(sums[label], size=(trials, sums[label].size)).astype(float)
-    samples = _elements(resampled, pairs)
-    _checked_diagonal_sum(samples[0])
-    return sums, central, samples
+    z_total = sums[Z_LABEL].sum()
+    empty = np.flatnonzero(resampled[Z_LABEL].sum(axis=1) == 0)
+    if z_total == 0 or empty.size:
+        where = ("the central estimate" if z_total == 0
+                 else f"Monte Carlo trial {empty[0] + 1} of {trials}")
+        raise ValueError(f"setting {Z_LABEL!r} totals 0 counts in {where} (central total "
+                         f"{z_total:.10g}), so its diagonal elements are undefined")
+    return sums, _elements(sums, OFFDIAG_PAIRS), _elements(resampled, pairs)
 
 
 def monte_carlo_errors(records, trials: int, seed: int) -> MonteCarloResult:

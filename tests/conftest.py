@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layered442.hilbert import DensityOperator
-from layered442.tomography import born_probabilities, parse_setting_label
+from layered442.tomography import born_probabilities
 
 
 def random_density(dims, rng) -> DensityOperator:
@@ -25,7 +25,7 @@ def choice_draws(rho, label, n, seed, stream):
 
     The reference the round sampler must equal index for index.
     """
-    p = born_probabilities(rho, parse_setting_label(label))
+    p = born_probabilities(rho, label)
     return np.random.default_rng([seed, stream, 2]).choice(p.size, size=n, p=p / p.sum())
 
 

@@ -224,7 +224,8 @@ class TestWitness:
     def test_all_zero_counts_rejected(self, tmp_path, capsys):
         counts = edited_counts(tmp_path, zero_counts)
         err = rejected(tmp_path, capsys, counts, "witness", report="witness_report.json")
-        assert "diagonal elements sum to 0.0000" in err
+        assert ("setting 'Z' totals 0 counts in the central estimate (central total 0), "
+                "so its diagonal elements are undefined") in err
 
     @MALFORMED_COUNTS
     def test_malformed_counts_rejected(self, tmp_path, capsys, edit, cause):
@@ -314,7 +315,8 @@ class TestSubspace:
     def test_all_zero_counts_rejected(self, tmp_path, capsys):
         counts = edited_counts(tmp_path, zero_counts)
         err = rejected(tmp_path, capsys, counts, *SUBSPACE_000_220, report="subspace_report.json")
-        assert "diagonal elements sum to 0.0000" in err
+        assert ("setting 'Z' totals 0 counts in the central estimate (central total 0), "
+                "so its diagonal elements are undefined") in err
 
     @MALFORMED_COUNTS
     def test_malformed_counts_rejected(self, tmp_path, capsys, edit, cause):
@@ -379,20 +381,22 @@ class TestSubspace:
         assert_counts_and_fixture_refused(tmp_path, capsys, "subspace", "000", "111")
 
 
-# Both commands that resample counts; subspace 000 220 does not read X01-X01-X01.
+# Every command that resamples counts; subspace 000 220 does not read X01-X01-X01.
 RESAMPLING_COMMANDS = pytest.mark.parametrize("command, report", [
     (("witness",), "witness_report.json"),
     (SUBSPACE_000_220, "subspace_report.json"),
-], ids=["witness", "subspace"])
+    (("estimate",), "estimates.csv"),
+], ids=["witness", "subspace", "estimate"])
 
 
 @RESAMPLING_COMMANDS
 @pytest.mark.filterwarnings("error")
 def test_sparse_counts_rejected(tmp_path, capsys, command, report):
-    # One Z count: the central sum is 1, but a resampled trial draws 0.
+    # One Z count: the central total is 1, but a resampled trial draws 0.
     counts = edited_counts(tmp_path, lambda d: zero_counts(d, "Z", keep="000"))
     err = rejected(tmp_path, capsys, counts, *command, report=report)
-    assert "diagonal elements sum to 0.0000" in err
+    assert ("setting 'Z' totals 0 counts in Monte Carlo trial 2 of 1000 (central total 1), "
+            "so its diagonal elements are undefined") in err
 
 
 @RESAMPLING_COMMANDS

@@ -27,7 +27,6 @@ from layered442.tomography import (
     count_tables,
     exact_records,
     monte_carlo_errors,
-    parse_setting_label,
     setting_outcomes,
     simulate_counts,
     standard_plan,
@@ -91,7 +90,7 @@ def _binned_tables(z, x, layer):
     """
     records = []
     for label, rounds in (("Z", z), (layer.x_setting_label, x)):
-        outcomes = setting_outcomes(parse_setting_label(label))
+        outcomes = setting_outcomes(label)
         drawn = Counter(outcomes[index] for index in rounds.tolist())
         records += [CountRecord(label, outcome, drawn[outcome]) for outcome in outcomes]
     return count_tables(records)
@@ -147,7 +146,7 @@ def test_cli_round_tables_equal_choice_draws(seed):
     for index, layer in enumerate(LAYERS):
         label = layer.x_setting_label
         drawn = choice_draws(rho, label, rounds, seed, qkd._X_STREAM_BASE + index)
-        n_outcomes = len(setting_outcomes(parse_setting_label(label)))
+        n_outcomes = len(setting_outcomes(label))
         expected[label] = np.bincount(drawn, minlength=n_outcomes)
     tables = _qkd_tables_simulated(cfg, rounds)
     assert tables.keys() == expected.keys()
@@ -158,7 +157,7 @@ def _sifting_oracle(tables, layer):
     """Report fields of a layer, sifted and counted outcome by outcome."""
     total_z = err_z = 0.0
     pair_err = Counter()
-    for ket, c in zip(setting_outcomes(parse_setting_label("Z")), tables["Z"]):
+    for ket, c in zip(setting_outcomes("Z"), tables["Z"]):
         digits = [int(ket[p]) for p in layer.party_indices]
         if not all(d in pair for d, pair in zip(digits, layer.digit_pairs)):
             continue
@@ -170,7 +169,7 @@ def _sifting_oracle(tables, layer):
                 pair_err[(layer.participants[i] + layer.participants[j]).lower()] += c * (a != b)
     x_label = layer.x_setting_label
     total_x = err_x = 0.0
-    for outcome, c in zip(setting_outcomes(parse_setting_label(x_label)), tables[x_label]):
+    for outcome, c in zip(setting_outcomes(x_label), tables[x_label]):
         if outcome != "rest":
             total_x += c
             err_x += c * ([outcome[p] for p in layer.party_indices].count("-") % 2)

@@ -27,7 +27,6 @@ from layered442.circuit import noisy_psi442
 from layered442.cli import main
 from layered442.tomography import (
     ELEMENT_PLANS,
-    parse_setting_label,
     required_settings,
     setting_outcomes,
     simulate_counts,
@@ -53,15 +52,11 @@ COMMANDS = [
 RESAMPLING = {"witness", "subspace", "estimate"}
 
 
-def _outcomes(label):
-    return setting_outcomes(parse_setting_label(label))
-
-
 def _on_outcome(kind, draw_value=st.just(None)):
     """(kind, setting, outcome, value) over every setting's own outcomes."""
     return st.sampled_from(LABELS).flatmap(
         lambda label: st.tuples(st.just(kind), st.just(label),
-                                st.sampled_from(_outcomes(label)), draw_value))
+                                st.sampled_from(setting_outcomes(label)), draw_value))
 
 
 MUTATIONS = st.one_of(
@@ -136,7 +131,8 @@ def unresamplable(data) -> tuple[set, set]:
     over_sum = set()
     for pair in OFFDIAG_PAIRS:
         for label, _, values in ELEMENT_PLANS[pair]:
-            table = np.array([counts.get(label, {}).get(o, 0) for o in _outcomes(label)], float)
+            table = np.array([counts.get(label, {}).get(o, 0)
+                              for o in setting_outcomes(label)], float)
             if max(table[values > 0].sum(), table[values < 0].sum(),
                    table[values == 0].sum()) > POISSON_LIMIT:
                 over_sum.add(label)
@@ -148,7 +144,8 @@ def partial_settings(data) -> set:
     present = {}
     for r in data:
         present.setdefault(r["setting"], set()).add(r["outcome"])
-    return {label for label, outcomes in present.items() if outcomes != set(_outcomes(label))}
+    return {label for label, outcomes in present.items()
+            if outcomes != set(setting_outcomes(label))}
 
 
 def first_unknown_keys(data) -> list:

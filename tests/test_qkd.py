@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -22,7 +23,8 @@ from layered442.qkd import (
     sample_x_rounds,
     sample_z_rounds,
 )
-from layered442.tomography import born_probabilities, parse_setting_label
+from layered442.tomography import born_probabilities
+from layered442.witness import OFFDIAG_PAIRS
 
 from conftest import choice_draws
 
@@ -68,16 +70,31 @@ class TestLayers:
         assert labels["AB-layer-0"] == "X02-X02-Z"
         assert labels["AB-layer-1"] == "X13-X13-Z"
 
-    def test_ket_length_checked(self):
-        with pytest.raises(ValueError):
-            LayerSpec("bad", ("A", "B"), ("000", "111"))
+    def test_derived_fields(self):
+        # signal_kets names the CSV subspace column; the rest picks the sifted outcomes.
+        fields = {l.layer_id: (l.kets, l.party_indices, l.participants, l.signal_kets,
+                               l.digit_pairs) for l in LAYERS}
+        assert fields == {
+            "ABC-layer-0": (("000", "111"), (0, 1, 2), ("A", "B", "C"), ("000", "111"),
+                            ((0, 1), (0, 1), (0, 1))),
+            "ABC-layer-1": (("220", "331"), (0, 1, 2), ("A", "B", "C"), ("220", "331"),
+                            ((2, 3), (2, 3), (0, 1))),
+            "AB-layer-0": (("000", "220"), (0, 1), ("A", "B"), ("00", "22"), ((0, 2), (0, 2))),
+            "AB-layer-1": (("111", "331"), (0, 1), ("A", "B"), ("11", "33"), ((1, 3), (1, 3))),
+        }
 
-    def test_key_map_must_separate_the_kets(self):
-        # key_map_abc sends digits 0 and 2 to the same bit: no key to extract.
-        layer = LayerSpec("bad", ("A", "B", "C"), ("000", "221"))
-        tables = {"Z": np.ones(32), layer.x_setting_label: np.ones(9)}
-        with pytest.raises(ValueError, match="key map gives both kets the same bit"):
-            qbers_from_counts(tables, layer)
+    @pytest.mark.parametrize("kets", [("000", "221"), ("111", "000"), ("00", "22")])
+    def test_layer_is_a_signal_pair(self, kets):
+        message = f"layer 'bad': kets {kets!r} are not a signal pair of witness.OFFDIAG_PAIRS"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LayerSpec("bad", kets)
+
+    def test_key_map_separates_every_signal_pair(self):
+        # Any layer a LayerSpec can hold gives its two kets different key bits.
+        for pair in OFFDIAG_PAIRS:
+            layer = LayerSpec("any", pair)
+            key_map = key_map_abc if layer.is_tripartite else key_map_ab
+            assert all(key_map(a) != key_map(b) for a, b in layer.digit_pairs)
 
 
 class TestBinaryEntropy:
@@ -189,8 +206,7 @@ class TestComputeQbers:
         rho = noisy_psi442(v)
         tables = {}
         for label in ("Z", LAYERS[0].x_setting_label):
-            setting = parse_setting_label(label)
-            tables[label] = born_probabilities(rho, setting)
+            tables[label] = born_probabilities(rho, label)
         rep = qbers_from_counts(tables, LAYERS[0])
         qz_expect = (6 * (1 - v) / 32) / (v / 2 + 8 * (1 - v) / 32)
         qx_expect = (1 - v) / (2 * (v + 1))
@@ -230,8 +246,8 @@ class TestComputeQbers:
             # each standard layer keeps its own stream
             drawn = choice_draws(rho, layer.x_setting_label, 500, 6, qkd._X_STREAM_BASE + index)
             assert np.array_equal(sample_x_rounds(rho, layer, 500, seed=6), drawn)
-        custom = LayerSpec("AB-custom", ("A", "B"), ("00", "33"))
-        with pytest.raises(ValueError, match="'AB-custom' is not one of the standard LAYERS"):
+        custom = LayerSpec("ABC-custom", ("000", "331"))
+        with pytest.raises(ValueError, match="'ABC-custom' is not one of the standard LAYERS"):
             sample_x_rounds(rho, custom, 500, seed=6)
 
     def test_sift_fractions_near_half(self):
