@@ -177,7 +177,7 @@ def cmd_gen_state(cfg: RunConfig, args) -> int:
 
 def cmd_simulate_counts(cfg: RunConfig, args) -> int:
     records = _records(cfg, None)
-    labels = tomography.required_settings()
+    labels = tomography.standard_plan().settings
     out = _out_dir(cfg)
     tomography.records_to_json(records, out / "counts.json")
     _write_json(cfg, out / "counts.meta.json", {
@@ -290,10 +290,10 @@ def cmd_subspace(cfg: RunConfig, args) -> int:
 def _qkd_tables_simulated(cfg: RunConfig, rounds: int) -> dict:
     """Count tables of simulated rounds; each basis is drawn once and binned as soon as drawn."""
     rho = circuit.noisy_psi442(cfg.visibility)
-    tables = qkd.round_tables({"Z": qkd.sample_z_rounds(rho, rounds, cfg.seed)})
+    tables = {"Z": qkd.round_table(qkd.sample_z_rounds(rho, rounds, cfg.seed), "Z")}
     for layer in qkd.LAYERS:
-        tables.update(qkd.round_tables({"X": qkd.sample_x_rounds(rho, layer, rounds, cfg.seed)},
-                                       layer))
+        label = layer.x_setting_label
+        tables[label] = qkd.round_table(qkd.sample_x_rounds(rho, layer, rounds, cfg.seed), label)
     return tables
 
 

@@ -38,7 +38,7 @@ __all__ = [
     "key_map_abc",
     "key_map_ab",
     "binary_entropy",
-    "round_tables",
+    "round_table",
     "compute_qbers",
     "qbers_from_counts",
     "asymptotic_key_rate",
@@ -213,33 +213,37 @@ def _layer_weights(layer: LayerSpec) -> tuple:
     return pair_keys, z_weights, x_weights
 
 
-def round_tables(samples: dict, layer: LayerSpec | None = None) -> dict[str, np.ndarray]:
-    """Count tables ``{label: counts}``, as ``tomography.count_tables`` gives, of per-round draws.
+def round_table(rounds, label: str) -> np.ndarray:
+    """Counts of one setting's per-round outcome indices, as ``tomography.count_tables`` gives them.
 
-    ``samples`` maps "Z", "X" or both to outcome indices of the computational
-    setting and of ``layer``'s X setting, as :func:`sample_z_rounds` and
-    :func:`sample_x_rounds` draw them.  Empty rounds and an index out of
-    range are rejected.
+    ``rounds`` index ``tomography.setting_outcomes(label)``, as
+    :func:`sample_z_rounds` ("Z") and :func:`sample_x_rounds` (a layer's X
+    setting) draw them.  Empty rounds, an index out of range and a label
+    outside the standard plan are rejected.
     """
-    tables = {}
-    for basis in ("Z", "X"):
-        if basis not in samples:
-            continue
-        label = layer.x_setting_label if basis == "X" else "Z"
-        n_outcomes = len(setting_outcomes(label))
-        rounds = np.asarray(samples[basis], dtype=int)
-        if rounds.size == 0:
-            raise ValueError("empty sample set")
-        if rounds.ndim != 1 or rounds.min() < 0 or rounds.max() >= n_outcomes:
-            raise ValueError(f"{basis} rounds must be outcome indices in [0, {n_outcomes}) "
-                             f"of setting {label}")
-        tables[label] = np.bincount(rounds, minlength=n_outcomes)
-    return tables
+    n_outcomes = len(setting_outcomes(label))
+    rounds = np.asarray(rounds, dtype=int)
+    if rounds.size == 0:
+        raise ValueError("empty sample set")
+    if rounds.ndim != 1 or rounds.min() < 0 or rounds.max() >= n_outcomes:
+        raise ValueError(f"{label} rounds must be outcome indices in [0, {n_outcomes}) "
+                         f"of setting {label}")
+    return np.bincount(rounds, minlength=n_outcomes)
 
 
 def compute_qbers(samples: dict, layer: LayerSpec) -> QberReport:
-    """Error rates of per-round outcome indices, binned by :func:`round_tables`."""
-    return qbers_from_counts(round_tables(samples, layer), layer)
+    """Error rates of per-round outcome indices, binned by :func:`round_table`.
+
+    ``samples`` maps "Z" to computational rounds and "X" to rounds of
+    ``layer``'s X setting; any other key is rejected.
+    """
+    labels = {"Z": "Z", "X": layer.x_setting_label}
+    tables = {}
+    for basis, rounds in samples.items():
+        if basis not in labels:
+            raise ValueError(f"samples key {basis!r} is neither 'Z' nor 'X'")
+        tables[labels[basis]] = round_table(rounds, labels[basis])
+    return qbers_from_counts(tables, layer)
 
 
 def qbers_from_counts(count_tables: dict, layer: LayerSpec) -> QberReport:

@@ -46,7 +46,6 @@ __all__ = [
     "CountRecord",
     "ExperimentPlan",
     "MonteCarloResult",
-    "parse_setting_label",
     "setting_outcomes",
     "born_probabilities",
     "standard_plan",
@@ -58,7 +57,6 @@ __all__ = [
     "records_to_json",
     "records_from_json",
     "count_tables",
-    "required_settings",
 ]
 
 # Settings with fewer total counts than this are flagged low-statistics.
@@ -115,39 +113,10 @@ class ExperimentPlan:
 
 
 @functools.cache
-def parse_setting_label(label: str) -> tuple[tuple, ...]:
-    """Per-party ops, ("Z",) or (axis, a, b), of a label such as ``Z`` or ``X01-Y01-Z``.
-
-    The one check of a label's axes and levels against ``DIMS_442``.
-    """
-    if label == Z_LABEL:
-        return (("Z",),) * len(DIMS_442)
-    tokens = label.split("-")
-    if len(tokens) != len(DIMS_442):
-        raise ValueError(f"setting {label!r} does not match {len(DIMS_442)} parties")
-    ops = []
-    for token, d in zip(tokens, DIMS_442):
-        if token == "Z":
-            ops.append(("Z",))
-            continue
-        where = f"setting {label!r} token {token!r}"
-        levels = token[1:]
-        if len(token) != 3 or token[0] not in "XY" or not (levels.isascii() and levels.isdigit()):
-            raise ValueError(f"{where} is not Z or X/Y followed by two level digits")
-        a, b = int(token[1]), int(token[2])
-        if a == b:
-            raise ValueError(f"{where} needs two distinct levels")
-        if not (a < d and b < d):
-            raise ValueError(f"{where} has levels beyond party dimension {d}")
-        ops.append((token[0], a, b))
-    return tuple(ops)
-
-
-@functools.cache
 def setting_outcomes(label: str) -> tuple[str, ...]:
     """Outcome labels in canonical order (residual last for sigma settings)."""
     per_party = [("+", "-") if op != ("Z",) else tuple(str(k) for k in range(d))
-                 for op, d in zip(parse_setting_label(label), DIMS_442)]
+                 for op, d in zip(_setting_ops(label), DIMS_442)]
     outcomes = tuple("".join(chars) for chars in itertools.product(*per_party))
     return outcomes if label == Z_LABEL else outcomes + ("rest",)
 
@@ -166,7 +135,7 @@ def _party_kets(op, d: int) -> np.ndarray:
 @functools.cache
 def _outcome_kets(label: str) -> np.ndarray:
     """A setting's outcome kets as read-only rows: Kronecker products of the party kets."""
-    ops = zip(parse_setting_label(label), DIMS_442)
+    ops = zip(_setting_ops(label), DIMS_442)
     kets = functools.reduce(np.kron, [_party_kets(op, d) for op, d in ops])
     kets.flags.writeable = False
     return kets
@@ -194,20 +163,22 @@ def born_probabilities(rho: DensityOperator, label: str) -> np.ndarray:
 _CORRELATOR_AXES = {3: ("XXX", "YYX", "YXY", "XYY"), 2: ("XX", "YY")}
 
 
-def _outcome_values(tokens, digits) -> np.ndarray:
+def _outcome_values(ops, digits) -> np.ndarray:
     """Eigenvalue products per outcome; Z parties pinned to ``digits``, residual 0."""
-    factors = [np.eye(d)[int(k)] if token == "Z" else np.array([1.0, -1.0])
-               for token, k, d in zip(tokens, digits, DIMS_442)]
+    factors = [np.eye(d)[int(k)] if op == ("Z",) else np.array([1.0, -1.0])
+               for op, k, d in zip(ops, digits, DIMS_442)]
     return np.append(functools.reduce(np.kron, factors), 0.0)
 
 
 def _element_plan(bra: str, ket: str) -> tuple:
     """Settings whose expectations give Re[<bra|rho|ket>] through ``witness``.
 
-    Returns entries ``(setting_label, sign, outcome_values)`` in the
+    Returns entries ``(setting_label, sign, outcome_values, ops)`` in the
     argument order of the witness formula; ``sign`` times the setting's
-    expectation is the argument.  sigma_y(b, a) = -sigma_y(a, b), so a
-    descending digit pair flips the sign of a term measuring sigma_y on it.
+    expectation is the argument, and ``ops`` holds the per-party ops the
+    label spells, ("Z",) or (axis, low, high).  sigma_y(b, a) =
+    -sigma_y(a, b), so a descending digit pair flips the sign of a term
+    measuring sigma_y on it.
     """
     pairs = [(int(i), int(l)) for i, l in zip(bra, ket)]
     differing = sum(i != l for i, l in pairs)
@@ -215,16 +186,14 @@ def _element_plan(bra: str, ket: str) -> tuple:
         raise ValueError(f"element ({bra}, {ket}) differs on fewer than two parties")
     out = []
     for axes in _CORRELATOR_AXES[differing]:
-        axes, tokens, sign = iter(axes), [], 1.0
+        axes, ops, sign = iter(axes), [], 1.0
         for i, l in pairs:
-            if i == l:
-                tokens.append("Z")
-                continue
-            axis = next(axes)
-            if axis == "Y" and i > l:
+            op = ("Z",) if i == l else (next(axes), min(i, l), max(i, l))
+            if op[0] == "Y" and i > l:
                 sign = -sign
-            tokens.append(f"{axis}{min(i, l)}{max(i, l)}")
-        out.append(("-".join(tokens), sign, _outcome_values(tokens, bra)))
+            ops.append(op)
+        label = "-".join("".join(map(str, op)) for op in ops)
+        out.append((label, sign, _outcome_values(ops, bra), tuple(ops)))
     return tuple(out)
 
 
@@ -234,12 +203,26 @@ ELEMENT_PLANS = {pair: _element_plan(*pair) for pair in OFFDIAG_PAIRS}
 # 0 eigenvalue classes: the estimator reads a setting only through these sums.
 # Every setting serves one pair, so its values, and so its classes, are unique.
 _CLASS_MAPS = {label: np.array([values > 0, values < 0, values == 0], dtype=float)
-               for pair in OFFDIAG_PAIRS for label, _, values in ELEMENT_PLANS[pair]}
+               for pair in OFFDIAG_PAIRS for label, _, values, _ in ELEMENT_PLANS[pair]}
 
-# The computational setting plus the 20 correlators.
-_STANDARD_SETTINGS = tuple(dict.fromkeys(
-    [Z_LABEL] + [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]))
+# The only settings there are, in standard-plan order: the computational
+# setting, then the 20 correlators, each with its per-party ops.
+_SETTING_OPS = {Z_LABEL: (("Z",),) * len(DIMS_442)} | {
+    label: ops for pair in OFFDIAG_PAIRS for label, _, _, ops in ELEMENT_PLANS[pair]}
+_STANDARD_SETTINGS = tuple(_SETTING_OPS)
 _PLAN_INDEX = {label: index for index, label in enumerate(_STANDARD_SETTINGS)}
+
+
+def _setting_ops(label: str) -> tuple[tuple, ...]:
+    """Per-party ops, ("Z",) or (axis, low, high), of one of the 21 settings of the standard plan.
+
+    The one check of a setting label: any other label is refused.
+    """
+    try:
+        return _SETTING_OPS[label]
+    except KeyError:
+        raise ValueError(f"setting {label!r} is not one of the {len(_SETTING_OPS)} "
+                         "settings of the standard plan") from None
 
 
 def standard_plan(rate: float = 0.66, integration_time: float = 1800.0) -> ExperimentPlan:
@@ -272,13 +255,9 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
 
     Each setting draws on the stream keyed by (seed, its index in
     :func:`standard_plan`), whatever its position in ``plan``, so a setting
-    gets the same counts from any plan that holds it.  A setting outside
-    the standard plan has no stream and is refused.
+    gets the same counts from any plan that holds it.
     """
     def draw(label, means):
-        if label not in _PLAN_INDEX:
-            raise ValueError(f"setting {label!r} is not one of the "
-                             f"{len(_PLAN_INDEX)} settings of the standard plan")
         if not means.max() <= _POISSON_LAM_MAX:
             raise ValueError(f"setting {label!r} has a mean count of {means.max():.10g}; "
                              f"numpy's Poisson sampler draws at most {_POISSON_LAM_MAX:.10g}")
@@ -288,7 +267,7 @@ def simulate_counts(rho: DensityOperator, plan: ExperimentPlan, seed: int) -> li
 
 
 def exact_records(rho: DensityOperator, plan: ExperimentPlan) -> list[CountRecord]:
-    """Expected counts (floats): the infinite-statistics limit, for any settings."""
+    """Expected counts (floats): the infinite-statistics limit."""
     return _plan_records(rho, plan, lambda label, means: means)
 
 
@@ -392,7 +371,7 @@ def _elements(sums, pairs) -> tuple[np.ndarray, np.ndarray]:
     coherences = []
     for pair in pairs:
         expectations = []
-        for label, sign, _ in ELEMENT_PLANS[pair]:
+        for label, sign, *_ in ELEMENT_PLANS[pair]:
             plus, minus, zero = np.moveaxis(sums[label], -1, 0)
             total = plus + minus + zero
             expectations.append(sign * (plus - minus) / np.where(total > 0, total, 1.0))
@@ -402,11 +381,6 @@ def _elements(sums, pairs) -> tuple[np.ndarray, np.ndarray]:
     return z_counts / np.where(z_total > 0, z_total, 1.0), np.stack(coherences, axis=-1)
 
 
-def required_settings() -> tuple[str, ...]:
-    """Labels every witness estimation needs."""
-    return _STANDARD_SETTINGS
-
-
 def _class_sums(records) -> dict[str, np.ndarray]:
     """``Z`` counts, and each correlator setting's (+1, -1, 0) eigenvalue-class sums.
 
@@ -414,7 +388,7 @@ def _class_sums(records) -> dict[str, np.ndarray]:
     estimate can be given an error bar.
     """
     tables = count_tables(records)
-    missing = [label for label in required_settings() if label not in tables]
+    missing = [label for label in _STANDARD_SETTINGS if label not in tables]
     if missing:
         noun = "setting" if len(missing) == 1 else "settings"
         raise ValueError(f"missing measurement {noun}: {', '.join(map(repr, missing))}")
@@ -440,7 +414,7 @@ def _element_estimates(sums, diag, off, diag_std=(0.0,) * 32, off_std=(0.0,) * 6
     offdiagonals = tuple(
         ElementEstimate(pair[0], pair[1], float(v), s,
                         low_stats=any(sums[label].sum() < LOW_STATS_THRESHOLD
-                                      for label, _, _ in ELEMENT_PLANS[pair]))
+                                      for label, *_ in ELEMENT_PLANS[pair]))
         for pair, v, s in zip(OFFDIAG_PAIRS, off, off_std)
     )
     return diagonals, offdiagonals
@@ -485,7 +459,7 @@ def _resampled_elements(records, pairs, trials: int, seed: int):
         raise ValueError("trials must be >= 1")
     sums = _class_sums(records)
     resampled = {}
-    for label in [Z_LABEL] + [label for pair in pairs for label, _, _ in ELEMENT_PLANS[pair]]:
+    for label in [Z_LABEL] + [label for pair in pairs for label, *_ in ELEMENT_PLANS[pair]]:
         rng = keyed_rng(seed, _PLAN_INDEX[label], _RESAMPLE_STREAM)
         resampled[label] = rng.poisson(sums[label], size=(trials, sums[label].size)).astype(float)
     z_total = sums[Z_LABEL].sum()

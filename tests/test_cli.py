@@ -53,9 +53,9 @@ MALFORMED_COUNTS = pytest.mark.parametrize("edit, cause", [
     (lambda d: d[5].update(note="x"), "count record 5 has unknown keys ['note']"),
     (lambda d: d.append(dict(d[0])), "duplicate record for setting 'Z' outcome '000'"),
     (lambda d: d[0].update(setting="XAB-X01-X01"),
-     "setting 'XAB-X01-X01' token 'XAB' is not Z or X/Y followed by two level digits"),
+     "setting 'XAB-X01-X01' is not one of the 21 settings of the standard plan"),
     (lambda d: d[0].update(setting="X00-X01-X01"),
-     "setting 'X00-X01-X01' token 'X00' needs two distinct levels"),
+     "setting 'X00-X01-X01' is not one of the 21 settings of the standard plan"),
 ], ids=["string", "null", "bool", "nan", "infinity", "array-record", "missing-key",
         "unknown-key", "duplicate", "letter-levels", "equal-levels"])
 
@@ -449,6 +449,23 @@ def test_repeated_counts_key_rejected(tmp_path, capsys, command, report):
                              (out / "counts.json").read_text(), count=1))
     err = rejected(tmp_path, capsys, counts, *command, report=report)
     assert err == f"error: count file {counts} repeats the key 'counts' in one object\n"
+
+
+@pytest.mark.parametrize("command, report", [
+    (("witness",), "witness_report.json"),
+    (("subspace", "000", "111"), "subspace_report.json"),
+    (("estimate",), "estimates.csv"),
+    (("qkd",), "qkd_report.csv"),
+], ids=["witness", "subspace", "estimate", "qkd"])
+def test_extra_setting_rejected(tmp_path, capsys, command, report):
+    # X10-X10-X10 is X01-X01-X01, which the 000/111 pair reads, with its levels descending:
+    # a copy under that label was read and never used.
+    def extra(data):
+        data += [dict(r, setting="X10-X10-X10") for r in data if r["setting"] == "X01-X01-X01"]
+    counts = edited_counts(tmp_path, extra)
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    assert err == ("error: setting 'X10-X10-X10' is not one of the 21 settings "
+                   "of the standard plan\n")
 
 
 def test_key_error_is_not_a_usage_error(tmp_path, monkeypatch):

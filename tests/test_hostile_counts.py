@@ -7,7 +7,8 @@ exit 2 prints an error and leaves no report; every report written parses
 strictly; QBERs and key rates stay in [0, 1], with the pessimistic rate
 at most the mean.  A count, or a correlator's eigenvalue-class sum, that
 numpy's Poisson sampler cannot resample is refused by setting name, and so
-is a setting whose records lack any of its outcomes.  A record with a key
+is a setting whose records lack any of its outcomes, and so is a setting
+that is not one of the 21 of the standard plan.  A record with a key
 beyond ``setting``, ``outcome`` and ``counts`` is refused by that key.
 """
 
@@ -27,7 +28,6 @@ from layered442.circuit import noisy_psi442
 from layered442.cli import main
 from layered442.tomography import (
     ELEMENT_PLANS,
-    required_settings,
     setting_outcomes,
     simulate_counts,
     standard_plan,
@@ -35,7 +35,7 @@ from layered442.tomography import (
 from layered442.witness import OFFDIAG_PAIRS
 
 HONEST = [vars(r) for r in simulate_counts(noisy_psi442(0.8493), standard_plan(), 1234)]
-LABELS = required_settings()
+LABELS = standard_plan().settings
 
 # numpy's Poisson sampler rejects a mean above int64 max - 10 sqrt(int64 max).
 POISSON_LIMIT = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
@@ -70,6 +70,8 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("drop"), st.integers(0, 2**32 - 1)),
     st.tuples(st.just("extra-key"), st.integers(0, 2**32 - 1),
               st.sampled_from(["note", "count", "Setting", ""])),
+    st.tuples(st.just("relabel"), st.sampled_from(LABELS[1:]), st.integers(0, 2),
+              st.sampled_from(["descending", "Z"])),
 )
 
 
@@ -115,6 +117,17 @@ def mutated(mutations) -> list[dict]:
             # One record gains a key that is not a record key.
             index, key = args
             data[index % len(data)][key] = 0
+        elif kind == "relabel":
+            # A correlator setting's records renamed to a label outside the 21: one of its
+            # sigma tokens gets its levels descending (Y01 -> Y10) or turns into Z.
+            label, index, into = args
+            tokens = label.split("-")
+            sigma = [k for k, token in enumerate(tokens) if token != "Z"]
+            k = sigma[index % len(sigma)]
+            tokens[k] = tokens[k][0] + tokens[k][:0:-1] if into == "descending" else "Z"
+            for r in data:
+                if r["setting"] == label:
+                    r["setting"] = "-".join(tokens)
         else:
             # 30% of the records dropped.
             dropped = set(random.Random(args[0]).sample(range(len(data)), round(0.3 * len(data))))
@@ -130,7 +143,7 @@ def unresamplable(data) -> tuple[set, set]:
     over_count = {r["setting"] for r in data if r["counts"] > POISSON_LIMIT}
     over_sum = set()
     for pair in OFFDIAG_PAIRS:
-        for label, _, values in ELEMENT_PLANS[pair]:
+        for label, _, values, _ in ELEMENT_PLANS[pair]:
             table = np.array([counts.get(label, {}).get(o, 0)
                               for o in setting_outcomes(label)], float)
             if max(table[values > 0].sum(), table[values < 0].sum(),
@@ -140,12 +153,12 @@ def unresamplable(data) -> tuple[set, set]:
 
 
 def partial_settings(data) -> set:
-    """Settings whose records lack some of their outcomes."""
+    """Settings of the standard plan whose records lack some of their outcomes."""
     present = {}
     for r in data:
         present.setdefault(r["setting"], set()).add(r["outcome"])
     return {label for label, outcomes in present.items()
-            if outcomes != set(setting_outcomes(label))}
+            if label in LABELS and outcomes != set(setting_outcomes(label))}
 
 
 def first_unknown_keys(data) -> list:
@@ -201,6 +214,9 @@ def check_report(command, path):
 @example(mutations=[("spike", "X01-X01-X01", "+++", 5 * 10**12),
                     ("spike", "X01-X01-X01", "+--", 5 * 10**12), ("scale", 1e6),
                     ("omit", "Z", "100", None)])
+# A setting outside the 21, from a descending level pair or a sigma token turned into Z.
+@example(mutations=[("relabel", "Y01-Y01-X01", 0, "descending")])
+@example(mutations=[("relabel", "X02-X02-Z", 1, "Z"), ("scale", 10.0)])
 # A key is named before a count beyond the limit in a later record.
 @example(mutations=[("extra-key", 0, "note"), ("spike", "Z", "111", 10**18),
                     ("scale", 10.0)])
@@ -209,6 +225,7 @@ def test_hostile_count_files_end_cleanly(mutations):
     unknown = first_unknown_keys(data)
     over_count, over_sum = unresamplable(data)
     partial = partial_settings(data)
+    foreign = {r["setting"] for r in data} - set(LABELS)
     complete = {r["setting"] for r in data} >= set(LABELS)
     with tempfile.TemporaryDirectory() as tmp:
         counts = Path(tmp) / "counts.json"
@@ -225,12 +242,16 @@ def test_hostile_count_files_end_cleanly(mutations):
                 assert err.startswith("error: ") and not (out / report).exists(), (command, err)
             else:
                 check_report(command[0], out / report)
-            # Refused by name: records are read first, then each setting's outcomes are
-            # checked, then class sums, before any other check.
-            named = (over_count or partial
+            # Refused by name: records are read first, then each setting's label and
+            # outcomes are checked, then class sums, before any other check.
+            named = (over_count or partial | foreign
                      or (over_sum if complete and command[0] in RESAMPLING else set()))
+            assert code == 2 or not foreign, (command, err)
             if unknown:
                 assert code == 2 and f"has unknown keys {unknown}" in err, (command, err)
+            elif foreign and not (over_count or partial):
+                assert any(f"setting {label!r} is not one of the 21 settings" in err
+                           for label in foreign), (command, err)
             elif named:
                 assert code == 2 and any(f"setting {label!r}" in err for label in named), (
                     command, err)

@@ -20,10 +20,11 @@ from layered442.qkd import (
     key_map_ab,
     key_map_abc,
     qbers_from_counts,
+    round_table,
     sample_x_rounds,
     sample_z_rounds,
 )
-from layered442.tomography import born_probabilities
+from layered442.tomography import CountRecord, born_probabilities, count_tables, setting_outcomes
 from layered442.witness import OFFDIAG_PAIRS
 
 from conftest import choice_draws
@@ -239,6 +240,24 @@ class TestComputeQbers:
         samples[basis][index] = value
         with pytest.raises(ValueError, match=message):
             compute_qbers(samples, LAYERS[0])
+
+    def test_round_table_needs_no_layer(self):
+        # A layer's X rounds bin by the setting label alone, as count_tables bins records.
+        x = sample_x_rounds(noisy_psi442(V_EXP), LAYERS[1], 1000, seed=4)
+        label = LAYERS[1].x_setting_label
+        outcomes = setting_outcomes(label)
+        records = [CountRecord(label, o, int(np.count_nonzero(x == k)))
+                   for k, o in enumerate(outcomes)]
+        assert np.array_equal(round_table(x, label), count_tables(records)[label])
+
+    def test_unknown_setting_or_basis_rejected(self):
+        # Rounds of a setting outside the standard plan, or under a key that is not a basis,
+        # are refused by name, not dropped.
+        rounds = sample_z_rounds(noisy_psi442(V_EXP), 100, seed=4)
+        with pytest.raises(ValueError, match="setting 'Q' is not one of the 21 settings"):
+            round_table(rounds, "Q")
+        with pytest.raises(ValueError, match="samples key 'Q' is neither 'Z' nor 'X'"):
+            compute_qbers({"Z": rounds, "Q": rounds}, LAYERS[0])
 
     def test_x_rounds_only_for_standard_layers(self):
         rho = noisy_psi442(V_EXP)

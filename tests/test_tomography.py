@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from layered442.tomography import (
     estimate_elements,
     exact_records,
     monte_carlo_errors,
-    parse_setting_label,
     records_from_json,
     records_to_json,
-    required_settings,
     setting_outcomes,
     simulate_counts,
     standard_plan,
@@ -56,23 +55,32 @@ class TestSettings:
 
     def test_each_correlator_setting_serves_one_pair(self):
         # So each setting has one eigenvalue per outcome, and one class map.
-        labels = [label for pair in OFFDIAG_PAIRS for label, _, _ in ELEMENT_PLANS[pair]]
+        labels = [label for pair in OFFDIAG_PAIRS for label, *_ in ELEMENT_PLANS[pair]]
         assert sorted(labels) == sorted(standard_plan().settings[1:])
 
     def test_label_round_trip(self):
-        # The per-party ops spell the label back, one token per party.
-        assert parse_setting_label("Z") == (("Z",),) * 3
+        # Each setting's per-party ops spell its label back, one token per party, and
+        # agree with a parse of the label.
+        table = tomography._SETTING_OPS
+        assert table["Z"] == (("Z",),) * 3
         for label in standard_plan().settings[1:]:
-            ops = parse_setting_label(label)
-            assert "-".join("".join(map(str, op)) for op in ops) == label
+            assert "-".join("".join(map(str, op)) for op in table[label]) == label
+            assert table[label] == label_ops(label)
 
-    def test_bad_labels(self):
-        with pytest.raises(ValueError, match="'X01-X01' does not match 3 parties"):
-            parse_setting_label("X01-X01")
-        with pytest.raises(ValueError, match="'Q01-X01-X01' token 'Q01' is not Z"):
-            parse_setting_label("Q01-X01-X01")
-        with pytest.raises(ValueError, match="'X01-X01-X04' token 'X04' has levels beyond"):
-            parse_setting_label("X01-X01-X04")
+    # Malformed labels, then well-formed labels that are not among the 21.
+    @pytest.mark.parametrize("label", ["X01-X01", "Q01-X01-X01", "X01-X01-X04", "X00-X01-X01",
+                                       "X10-X10-X10", "X02-Z-Z"])
+    def test_label_outside_the_21_refused(self, label):
+        # Every function that takes a label refuses it in one wording, by name.
+        rho = noisy_psi442(0.8493)
+        plan = ExperimentPlan(0.66, 1800.0, ("Z", label))
+        calls = [lambda: setting_outcomes(label), lambda: born_probabilities(rho, label),
+                 lambda: exact_records(rho, plan), lambda: simulate_counts(rho, plan, seed=5),
+                 lambda: count_tables([CountRecord(label, "+++", 1)])]
+        message = f"setting {label!r} is not one of the 21 settings of the standard plan"
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
     def test_outcome_orders(self):
         assert len(setting_outcomes("Z")) == 32
@@ -131,10 +139,18 @@ class TestBornProbabilities:
             born_probabilities(rho, "X01-X01-X01")
 
 
+def label_ops(label) -> tuple:
+    """Per-party ops, ("Z",) or (axis, a, b), read from the label itself, not from tomography."""
+    if label == "Z":
+        return (("Z",),) * 3
+    return tuple(("Z",) if token == "Z" else (token[0], int(token[1]), int(token[2]))
+                 for token in label.split("-"))
+
+
 def oracle_ket(label, outcome, dims=(4, 4, 2)) -> np.ndarray:
     """The measured ket of one outcome, one np.kron factor per party."""
     vec = np.ones(1, dtype=complex)
-    for op, char, d in zip(parse_setting_label(label), outcome, dims):
+    for op, char, d in zip(label_ops(label), outcome, dims):
         if op == ("Z",):
             ket = np.eye(d)[int(char)].astype(complex)
         else:
@@ -164,7 +180,7 @@ def test_born_probabilities_match_dense_oracle(seed):
 
 
 @pytest.mark.parametrize("label", list(dict.fromkeys(
-    required_settings() + tuple(layer.x_setting_label for layer in LAYERS))))
+    standard_plan().settings + tuple(layer.x_setting_label for layer in LAYERS))))
 def test_born_array_order_is_setting_outcomes(label):
     """The state of one outcome's ket gives probability 1 at that outcome's position."""
     outcomes = setting_outcomes(label)
@@ -172,7 +188,7 @@ def test_born_array_order_is_setting_outcomes(label):
         if outcome == "rest":
             # Party A is a sigma party of every correlator setting: a level
             # outside its pair puts the state outside the setting's subspace.
-            _, a, b = parse_setting_label(label)[0]
+            _, a, b = label_ops(label)[0]
             ket = np.eye(32)[flat_index(f"{min({0, 1, 2, 3} - {a, b})}00")]
         else:
             ket = oracle_ket(label, outcome)
@@ -243,10 +259,11 @@ class TestSimulateCounts:
     def test_setting_outside_standard_plan_refused(self):
         rho = noisy_psi442(0.8493)
         plan = ExperimentPlan(0.66, 1800.0, ("Z", "X02-Z-Z"))
-        with pytest.raises(ValueError, match="setting 'X02-Z-Z' is not one of the 21 settings"):
-            simulate_counts(rho, plan, seed=5)
-        # Expected counts draw nothing and take any setting.
-        assert {r.setting for r in exact_records(rho, plan)} == {"Z", "X02-Z-Z"}
+        # Neither drawn nor expected counts exist for it.
+        for records in (lambda: simulate_counts(rho, plan, seed=5),
+                        lambda: exact_records(rho, plan)):
+            with pytest.raises(ValueError, match="setting 'X02-Z-Z' is not one of the 21 settings"):
+                records()
 
     def test_time_doubles_counts(self):
         rho = noisy_psi442(0.9)
@@ -371,7 +388,7 @@ class TestEstimation:
         recs = [CountRecord("Z", k, 100 if k in ("000", "111", "220", "331") else 0)
                 for k in ALL_KETS]
         for pair in OFFDIAG_PAIRS:
-            for label, _, _ in ELEMENT_PLANS[pair]:
+            for label, *_ in ELEMENT_PLANS[pair]:
                 recs += [CountRecord(label, o, 10) for o in setting_outcomes(label)]
         diag, off = estimate_elements(recs)
         table = {e.bra: e for e in diag}
@@ -496,7 +513,7 @@ def per_outcome_elements(tables):
     The per-outcome form of the estimator: a correlator expectation is the
     setting's counts times its outcome eigenvalues, over its total.
     """
-    def expectation(label, sign, values):
+    def expectation(label, sign, values, _):
         counts = tables[label]
         total = counts.sum(axis=-1)
         return sign * (counts @ values) / np.where(total > 0, total, 1.0)
@@ -583,7 +600,7 @@ def test_resampled_errors_pinned_bit_for_bit(seed):
     off = []
     for pair in OFFDIAG_PAIRS:
         terms = []
-        for label, sign, values in ELEMENT_PLANS[pair]:
+        for label, sign, values, _ in ELEMENT_PLANS[pair]:
             counts = tables[label]
             sums = [counts[values > 0].sum(), counts[values < 0].sum(), counts[values == 0].sum()]
             plus, minus, zero = draw(label, np.array(sums)).T
