@@ -126,14 +126,14 @@ def _keep_equal_polarization(psi: PureState, parties: tuple[int, int]):
     return kept, prob
 
 
-def pbs_coincidence(psi: PureState, parties: tuple[int, int] = (0, 1)) -> CircuitOutcome:
-    """PBS coincidence post-selection: one photon per output port.
+def pbs_coincidence(psi: PureState) -> CircuitOutcome:
+    """PBS coincidence post-selection of parties A and B: one photon per output port.
 
     Both photons transmit (H, H) or both reflect (V, V); cross-polarized
     terms bunch into one port and are discarded.  The recorded probability
     is the squared norm of the kept component.
     """
-    kept, prob = _keep_equal_polarization(psi, parties)
+    kept, prob = _keep_equal_polarization(psi, (0, 1))
     return CircuitOutcome(PureState(psi.dims, kept / math.sqrt(prob)), prob)
 
 
@@ -161,26 +161,21 @@ def ghz_fuse(pair1: PureState, pair2: PureState) -> CircuitOutcome:
     return CircuitOutcome(PureState((2, 2, 2), amps), prob)
 
 
-def dimension_double(psi: PureState, parties: tuple[int, int] = (0, 1)) -> CircuitOutcome:
-    """Double the local dimension of two polarization qubits.
+def dimension_double(psi: PureState) -> CircuitOutcome:
+    """Double the local dimension of the polarization qubits A and B.
 
     BDs convert polarization into path, HWPs at 22.5 deg mix the
     polarizations within each path, and a PBS coincidence keeps the
     equal-polarization terms, turning a Bell input into the four-level
     maximally entangled state (|00> + |11> + |22> + |33>)/2 with
-    probability 1/2.  Spectator parties pass through untouched.
+    probability 1/2.  Spectator parties pass through untouched; an A or B
+    that is not a qubit is refused.
     """
-    p0, p1 = parties
-    if p0 == p1:
-        raise ValueError("parties must be distinct")
-    for p in (p0, p1):
-        if not 0 <= p < psi.num_parties or psi.dims[p] != 2:
-            raise ValueError(f"party {p} must be a polarization qubit")
     state = psi
     for op in (_BD_ISOMETRY, _HWP4):
-        for p in parties:
+        for p in (0, 1):
             state = _apply_local(state, p, op)
-    return pbs_coincidence(state, parties)
+    return pbs_coincidence(state)
 
 
 def make_psi442() -> PureState:
@@ -197,7 +192,7 @@ def circuit_psi442() -> tuple[CircuitOutcome, CircuitOutcome]:
     The final state must match :func:`make_psi442` exactly.
     """
     fused = ghz_fuse(bell_pair(), bell_pair())
-    layered = dimension_double(fused.state, parties=(0, 1))
+    layered = dimension_double(fused.state)
     return fused, layered
 
 
@@ -211,10 +206,11 @@ def apply_white_noise(psi: PureState, visibility: float) -> DensityOperator:
     return DensityOperator(psi.dims, mat)
 
 
-def visibility_for_fidelity(target_fidelity: float, dim: int = 32) -> float:
-    """Invert F = v + (1 - v)/D for the white-noise visibility."""
+def visibility_for_fidelity(target_fidelity: float) -> float:
+    """Invert F = v + (1 - v)/D, D = 32, for the white-noise visibility of the layered state."""
     if not 0.0 <= target_fidelity <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
+    dim = len(ALL_KETS)
     return (target_fidelity - 1.0 / dim) / (1.0 - 1.0 / dim)
 
 

@@ -20,9 +20,7 @@ __all__ = [
     "DensityOperator",
     "SchmidtData",
     "as_dim_vector",
-    "basis_state",
     "haar_random_state",
-    "partial_trace",
     "schmidt_decompose",
     "rank_vector",
     "fidelity_pure",
@@ -115,26 +113,15 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class SchmidtData:
-    """Schmidt decomposition of a pure state across a bipartition.
+    """Schmidt decomposition of a pure state across one party and the rest.
 
     Coefficients are non-negative and sorted descending with sum of
-    squares 1.  Column i of ``left_vectors`` is the i-th Schmidt vector on
-    the side of the cut.
+    squares 1.  Column i of ``left_vectors`` is the i-th Schmidt vector of
+    that party.
     """
 
     coefficients: np.ndarray = field(repr=False)
     left_vectors: np.ndarray = field(repr=False)
-
-
-def basis_state(dims, digits) -> PureState:
-    """Computational basis ket |digits> for the given dims."""
-    dims = as_dim_vector(dims)
-    amps = np.zeros(_total_dim(dims), dtype=np.complex128)
-    idx = 0
-    for d, dim in zip(tuple(digits), dims):
-        idx = idx * dim + int(d)
-    amps[idx] = 1.0
-    return PureState(dims, amps)
 
 
 def haar_random_state(dims, rng: np.random.Generator) -> PureState:
@@ -181,52 +168,12 @@ def keyed_rng(seed, *key) -> np.random.Generator:
     return np.random.default_rng([_check_seed(seed), *key])
 
 
-def _check_parties(parties, num_parties: int) -> tuple[int, ...]:
-    out = tuple(int(p) for p in parties)
-    if len(out) == 0:
-        raise ValueError("party subset must not be empty")
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate party indices in {out}")
-    if any(p < 0 or p >= num_parties for p in out):
-        raise ValueError(f"party index out of range in {out} (have {num_parties} parties)")
-    return tuple(sorted(out))
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out all parties not in ``keep``; kept parties stay in order."""
-    keep = _check_parties(keep, rho.num_parties)
-    n = rho.num_parties
-    dims = rho.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    # Contract row/column axes pairwise for every traced party.
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for p in range(n):
-        if p not in keep:
-            col[p] = row[p]
-    kept_dims = tuple(dims[p] for p in keep)
-    out_axes = [row[p] for p in keep] + [col[p] for p in keep]
-    reduced = np.einsum(tensor, row + col, out_axes)
-    d = math.prod(kept_dims)
-    return DensityOperator(kept_dims, reduced.reshape(d, d))
-
-
-def _cut_matrix(psi: PureState, cut: tuple[int, ...]) -> np.ndarray:
-    """Reshape amplitudes into a (cut) x (rest) matrix."""
-    n = psi.num_parties
-    rest = tuple(p for p in range(n) if p not in cut)
-    perm = cut + rest
-    tensor = psi.amplitudes.reshape(psi.dims)
-    d_left = math.prod(psi.dims[p] for p in cut)
-    return np.transpose(tensor, perm).reshape(d_left, -1)
-
-
-def schmidt_decompose(psi: PureState, cut) -> SchmidtData:
-    """Schmidt decomposition of ``psi`` across ``cut`` | complement."""
-    cut = _check_parties(cut, psi.num_parties)
-    if len(cut) == psi.num_parties:
-        raise ValueError("cut must be a proper subset of the parties")
-    mat = _cut_matrix(psi, cut)
+def schmidt_decompose(psi: PureState, party: int) -> SchmidtData:
+    """Schmidt decomposition of ``psi`` across ``party`` | the other parties."""
+    if not 0 <= party < psi.num_parties:
+        raise ValueError(f"party {party} out of range (have {psi.num_parties} parties)")
+    rest = (p for p in range(psi.num_parties) if p != party)
+    mat = psi.amplitudes.reshape(psi.dims).transpose(party, *rest).reshape(psi.dims[party], -1)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return SchmidtData(s, u)
 
@@ -235,7 +182,7 @@ def rank_vector(psi: PureState) -> tuple[int, ...]:
     """Per-party Schmidt ranks: coefficients above 1e-8 times the largest of each cut."""
     ranks = []
     for p in range(psi.num_parties):
-        s = schmidt_decompose(psi, (p,)).coefficients
+        s = schmidt_decompose(psi, p).coefficients
         ranks.append(int(np.sum(s > 1e-8 * s[0])))
     return tuple(ranks)
 

@@ -28,7 +28,6 @@ import numpy as np
 from .circuit import ALL_KETS, DIMS_442
 from .hilbert import DensityOperator, keyed_rng
 from .tomography import ELEMENT_PLANS, born_probabilities, setting_outcomes
-from .witness import OFFDIAG_PAIRS
 
 __all__ = [
     "LayerSpec",
@@ -44,7 +43,6 @@ __all__ = [
     "asymptotic_key_rate",
     "sample_z_rounds",
     "sample_x_rounds",
-    "empirical_mutual_information",
 ]
 
 PARTY_NAMES = ("A", "B", "C")
@@ -56,9 +54,18 @@ _X_STREAM_BASE = 2
 _ROUND_STREAM = 2
 
 
+# The four key layers, each id with its signal pair: the only layers there are.
+_LAYER_KETS = {
+    "ABC-layer-0": ("000", "111"),
+    "ABC-layer-1": ("220", "331"),
+    "AB-layer-0": ("000", "220"),
+    "AB-layer-1": ("111", "331"),
+}
+
+
 @dataclass(frozen=True)
 class LayerSpec:
-    """One key layer: a signal pair of ``witness.OFFDIAG_PAIRS``.
+    """One of the four key layers of :data:`LAYERS`: its id and its signal pair.
 
     The participants are the parties on which the two kets differ; the
     rest follows from their digits there.
@@ -68,9 +75,9 @@ class LayerSpec:
     kets: tuple[str, str]
 
     def __post_init__(self):
-        if self.kets not in OFFDIAG_PAIRS:
-            raise ValueError(f"layer {self.layer_id!r}: kets {self.kets!r} are not a signal "
-                             "pair of witness.OFFDIAG_PAIRS")
+        if _LAYER_KETS.get(self.layer_id) != self.kets:
+            raise ValueError(f"layer {self.layer_id!r} with kets {self.kets!r} is not one of "
+                             f"the {len(_LAYER_KETS)} layers of qkd.LAYERS")
 
     @property
     def party_indices(self) -> tuple[int, ...]:
@@ -99,12 +106,7 @@ class LayerSpec:
         return ELEMENT_PLANS[self.kets][0][0]
 
 
-LAYERS = (
-    LayerSpec("ABC-layer-0", ("000", "111")),
-    LayerSpec("ABC-layer-1", ("220", "331")),
-    LayerSpec("AB-layer-0", ("000", "220")),
-    LayerSpec("AB-layer-1", ("111", "331")),
-)
+LAYERS = tuple(LayerSpec(layer_id, kets) for layer_id, kets in _LAYER_KETS.items())
 
 
 @dataclass(frozen=True)
@@ -367,26 +369,7 @@ def sample_z_rounds(rho: DensityOperator, n: int, seed: int) -> np.ndarray:
 def sample_x_rounds(rho: DensityOperator, layer: LayerSpec, n: int, seed: int) -> np.ndarray:
     """Sample n outcome indices of the layer's X setting (the residual ``rest`` last).
 
-    Each layer of ``LAYERS`` draws from its own stream; any other layer is rejected.
+    Each layer of ``LAYERS`` draws from its own stream.
     """
-    if layer not in LAYERS:
-        raise ValueError(f"layer {layer.layer_id!r} is not one of the standard LAYERS")
     return _draw_outcomes(rho, layer.x_setting_label, n, seed,
                           _X_STREAM_BASE + LAYERS.index(layer))
-
-
-def empirical_mutual_information(x, y) -> float:
-    """Mutual information (bits) of two discrete sample sequences."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.size == 0:
-        raise ValueError("x and y must be equal-length non-empty sequences")
-    mi = 0.0
-    for xv in np.unique(x):
-        px = np.mean(x == xv)
-        for yv in np.unique(y):
-            pxy = np.mean((x == xv) & (y == yv))
-            if pxy > 0:
-                py = np.mean(y == yv)
-                mi += pxy * math.log2(pxy / (px * py))
-    return mi

@@ -15,7 +15,7 @@ carries eigenvalue 0.
 Counts are Poissonian: every outcome of every setting is an independent
 Poisson draw with mean rate x time x probability.  Count files are JSON
 arrays of records with exactly the keys ``setting``, ``outcome`` and
-``counts``.
+``counts``, each count a whole number.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ _POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64
 class CountRecord:
     """Observed (or simulated) coincidence counts for one outcome.
 
-    ``counts`` is an integer for sampled data; the infinite-statistics
-    records produced by :func:`exact_records` carry float expectations.
+    ``counts`` is a whole number for sampled data and for every count read
+    by :func:`records_from_json`; the infinite-statistics records produced
+    by :func:`exact_records` carry float expectations.
     """
 
     setting: str
@@ -314,6 +315,11 @@ _RECORD_KEYS = frozenset(("setting", "outcome", "counts"))
 
 
 def records_from_json(path) -> list[CountRecord]:
+    """The count records of a count file, in file order.
+
+    Every count read from a file is a whole number of coincidences; a
+    whole-valued float such as ``300.0`` is read as it is written.
+    """
     data = _read_json(path, "count file")
     if not isinstance(data, list):
         raise ValueError("count file must be a JSON array of records")
@@ -326,7 +332,10 @@ def records_from_json(path) -> list[CountRecord]:
             cause = (f"lacks {', '.join(map(repr, missing))}" if missing
                      else f"has unknown keys {sorted(d.keys() - _RECORD_KEYS)}")
             raise ValueError(f"count record {index} {cause}")
-        records.append(CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"]))
+        record = CountRecord(str(d["setting"]), str(d["outcome"]), d["counts"])
+        if record.counts % 1:
+            raise record._invalid("a whole number")
+        records.append(record)
     return records
 
 

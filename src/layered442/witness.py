@@ -28,7 +28,6 @@ __all__ = [
     "ElementEstimate",
     "RankVectorClass",
     "Certification",
-    "max_overlap_bounded_rank",
     "class_bound_with_cuts",
     "fmax_class_bound",
     "fidelity_from_elements",
@@ -129,37 +128,22 @@ class Certification:
     certified: bool
 
 
-def _bounded_rank_overlap(coefficients: np.ndarray, rank: int) -> float:
-    full = coefficients.size
-    if not 1 <= rank <= full:
-        raise ValueError(f"rank must lie in 1..{full}, got {rank}")
-    return float(min(1.0, np.sum(coefficients[:rank] ** 2)))
-
-
-def max_overlap_bounded_rank(target: PureState, cut, rank: int) -> float:
-    """Best overlap with ``target`` of any state of bounded Schmidt rank.
-
-    Equal to the sum of the ``rank`` largest squared Schmidt coefficients
-    of the target across the cut.
-    """
-    return _bounded_rank_overlap(schmidt_decompose(target, cut).coefficients, rank)
-
-
 def class_bound_with_cuts(target: PureState, cls: RankVectorClass
                           ) -> tuple[float, dict[tuple[int, int], float]]:
     """Class bound of :func:`fmax_class_bound` and the cut overlaps it rests on.
 
-    Returns ``(bound, cuts)``; ``cuts[(p, cap)]`` is
-    ``max_overlap_bounded_rank(target, (p,), cap)`` for every cap some
-    member puts on party p, in member order.  Each party's Schmidt
-    decomposition is computed once.
+    Returns ``(bound, cuts)``.  ``cuts[(p, cap)]``, for every cap some
+    member puts on party p in member order, is the best overlap with
+    ``target`` of any state whose Schmidt rank across party p is at most
+    cap: the sum of the cap largest squared Schmidt coefficients of the
+    target there.  Each party's Schmidt decomposition is computed once.
     """
     coefficients, cuts, best = {}, {}, 0.0
     for member in cls.members(target.dims):
         for p, cap in enumerate(member):
             if p not in coefficients:
-                coefficients[p] = schmidt_decompose(target, (p,)).coefficients
-            cuts[(p, cap)] = _bounded_rank_overlap(coefficients[p], cap)
+                coefficients[p] = schmidt_decompose(target, p).coefficients
+            cuts[(p, cap)] = float(min(1.0, np.sum(coefficients[p][:cap] ** 2)))
         best = max(best, min(cuts[(p, cap)] for p, cap in enumerate(member)))
     return best, cuts
 
@@ -363,7 +347,7 @@ def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
         sweeps = SEESAW_SWEEPS if len(constrained) > 1 else 1
         count = len(range(k, restarts, len(members))) if sweeps > 1 else 1
         starts = [haar_random_state(target.dims, rng) for _ in range(count)]
-        isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
+        isometries = [(p, np.stack([schmidt_decompose(phi, p).left_vectors[:, :cap]
                                     for phi in starts]))
                       for p, cap in constrained]
         isometries, overlaps = _sweep(target, isometries)

@@ -18,7 +18,6 @@ from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements, lo
 from layered442.hilbert import fidelity_pure, rank_vector
 from layered442.qkd import (
     asymptotic_key_rate,
-    empirical_mutual_information,
     key_map_ab,
     key_map_abc,
     sample_z_rounds,
@@ -41,7 +40,7 @@ from layered442.witness import (
     search_class_overlap,
 )
 
-from conftest import random_density
+from conftest import empirical_mutual_information, random_density
 
 RATE = REFERENCE_EXPERIMENT["counting_rate_per_s"]
 TIME = REFERENCE_EXPERIMENT["integration_time_s"]

@@ -17,9 +17,9 @@ from layered442.circuit import (
     psi442_fidelity,
     visibility_for_fidelity,
 )
-from layered442.hilbert import PureState, basis_state, fidelity_pure, partial_trace, rank_vector
+from layered442.hilbert import PureState, fidelity_pure, rank_vector
 
-from conftest import flat_index
+from conftest import basis_state, flat_index, partial_trace
 
 SQ2 = math.sqrt(2)
 
@@ -211,10 +211,11 @@ class TestDimensionDouble:
         assert abs(layered.success_probability - 0.5) < 1e-12
 
     def test_wrong_dims_rejected(self):
-        with pytest.raises(ValueError):
+        # A and B must be polarization qubits.
+        with pytest.raises(ValueError, match="operator expects dimension 2, party has 4"):
             dimension_double(make_psi442())
-        with pytest.raises(ValueError):
-            dimension_double(bell_pair(), parties=(0, 0))
+        with pytest.raises(ValueError, match="party 1 out of range"):
+            dimension_double(basis_state((2,), (0,)))
 
 
 class TestClosedForm:
@@ -271,11 +272,14 @@ class TestElements:
         with pytest.raises(ValueError):
             CircuitOutcome(bell_pair(), 1.5)
 
-    def test_pbs_coincidence_ignores_party_order(self, rng):
+    def test_pbs_coincidence_keeps_equal_ab_polarizations(self, rng):
         from layered442.hilbert import haar_random_state
 
-        # A four-level and a two-level party, named in either order.
+        # Four-level A and B: a digit is V-polarized iff it is 2 or 3; C is a spectator.
         psi = haar_random_state((4, 4, 2), rng)
-        forward, backward = pbs_coincidence(psi, (0, 2)), pbs_coincidence(psi, (2, 0))
-        assert forward.success_probability == backward.success_probability
-        assert np.array_equal(forward.state.amplitudes, backward.state.amplitudes)
+        keep = np.array([(a >= 2) == (b >= 2) for a, b, _ in np.ndindex(4, 4, 2)])
+        kept = psi.amplitudes * keep
+        prob = np.vdot(kept, kept).real
+        out = pbs_coincidence(psi)
+        assert abs(out.success_probability - prob) < 1e-12
+        assert np.max(np.abs(out.state.amplitudes - kept / math.sqrt(prob))) < 1e-12

@@ -451,12 +451,31 @@ def test_repeated_counts_key_rejected(tmp_path, capsys, command, report):
     assert err == f"error: count file {counts} repeats the key 'counts' in one object\n"
 
 
-@pytest.mark.parametrize("command, report", [
+# Every command that reads counts, with the 000/111 pair, which reads X01-X01-X01.
+COUNT_COMMANDS_000_111 = pytest.mark.parametrize("command, report", [
     (("witness",), "witness_report.json"),
     (("subspace", "000", "111"), "subspace_report.json"),
     (("estimate",), "estimates.csv"),
     (("qkd",), "qkd_report.csv"),
 ], ids=["witness", "subspace", "estimate", "qkd"])
+
+
+@COUNT_COMMANDS_000_111
+def test_fractional_counts_rejected(tmp_path, capsys, command, report):
+    # No experiment records half a coincidence: with 0.5 added to every count, the
+    # seed-1234 file certified at F = 0.8545, 18.5 sigma.
+    def add_half(data):
+        for r in data:
+            r["counts"] += 0.5
+    counts = edited_counts(tmp_path, add_half)
+    err = rejected(tmp_path, capsys, counts, *command, report=report)
+    first = read_json(counts)[0]
+    assert (first["setting"], first["outcome"]) == ("Z", "000")
+    assert err == (f"error: counts for setting 'Z' outcome '000' must be a whole number, "
+                   f"got {first['counts']!r}\n")
+
+
+@COUNT_COMMANDS_000_111
 def test_extra_setting_rejected(tmp_path, capsys, command, report):
     # X10-X10-X10 is X01-X01-X01, which the 000/111 pair reads, with its levels descending:
     # a copy under that label was read and never used.

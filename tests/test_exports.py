@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,17 @@ import layered442
 
 # Every module but ``cli``, the command-line entry point, which is run, not imported from.
 MODULES = ["hilbert", "circuit", "witness", "tomography", "qkd", "fixtures"]
+
+REPO = Path(__file__).resolve().parents[1]
+
+# Public names that no code in src/ or bench/ reads, each kept for a reason of its own.
+UNREFERENCED = {
+    "fmax_class_bound": "acceptance criterion 2 imports it",
+    "estimate_elements": "acceptance criterion 5 imports it",
+    "gme_witnessed": "acceptance criterion 6 imports it",
+    "visibility_for_fidelity": "ROADMAP item 13, the calibration of decision constants, uses it",
+    "compute_qbers": "BENCHMARK.json binds it by name for the traced benchmark run",
+}
 
 
 def _top_level_definitions(module) -> dict[str, type]:
@@ -64,3 +76,27 @@ def test_every_public_function_and_class_is_in_all(module_name):
     public = [n for n, kind in _top_level_definitions(module).items()
               if kind in (ast.FunctionDef, ast.ClassDef) and not n.startswith("_")]
     assert [n for n in public if n not in module.__all__] == []
+
+
+def _referenced_names(paths) -> set[str]:
+    """Every name the code in ``paths`` reads, as a name, an attribute or an import."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A name only the tests use belongs in the tests (see conftest.py).
+    code = [path for top in ("src", "bench") for path in sorted((REPO / top).rglob("*.py"))
+            if not path.name.startswith("test_")]
+    referenced = _referenced_names(code)
+    unreferenced = {name for module in MODULES for name in _module(module).__all__
+                    if name not in referenced}
+    assert unreferenced == set(UNREFERENCED)

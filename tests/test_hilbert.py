@@ -10,15 +10,13 @@ from layered442.circuit import make_psi442
 from layered442.hilbert import (
     DensityOperator,
     PureState,
-    basis_state,
     fidelity_pure,
     haar_random_state,
-    partial_trace,
     rank_vector,
     schmidt_decompose,
 )
 
-from conftest import random_density
+from conftest import basis_state, partial_trace, random_density
 
 
 def ghz_state(n=3, d=2):
@@ -56,6 +54,8 @@ class TestConstruction:
 
 
 class TestPartialTrace:
+    """The reduced-state oracle that the Schmidt tests rebuild."""
+
     def test_psi442_party_a_maximally_mixed(self):
         rho = make_psi442().density()
         red = partial_trace(rho, (0,))
@@ -85,39 +85,32 @@ class TestPartialTrace:
             assert abs(np.trace(red.matrix).real - 1) < 1e-10
             assert np.max(np.abs(red.matrix - red.matrix.conj().T)) < 1e-10
 
-    def test_invalid_party(self):
-        rho = make_psi442().density()
-        with pytest.raises(ValueError):
-            partial_trace(rho, (3,))
-        with pytest.raises(ValueError):
-            partial_trace(rho, ())
 
-
-def assert_reduced_state_rebuilt(psi: PureState, cut):
+def assert_reduced_state_rebuilt(psi: PureState, party: int):
     """U diag(s^2) U^dagger from the Schmidt data equals the partial_trace oracle."""
-    data = schmidt_decompose(psi, cut)
+    data = schmidt_decompose(psi, party)
     u = data.left_vectors
     rebuilt = (u * data.coefficients**2) @ u.conj().T
-    assert np.max(np.abs(rebuilt - partial_trace(psi.density(), cut).matrix)) < 1e-10
+    assert np.max(np.abs(rebuilt - partial_trace(psi.density(), (party,)).matrix)) < 1e-10
 
 
 class TestSchmidt:
     def test_psi442_cut_c(self):
-        data = schmidt_decompose(make_psi442(), (2,))
+        data = schmidt_decompose(make_psi442(), 2)
         assert np.allclose(data.coefficients**2, [0.5, 0.5], atol=1e-12)
 
     def test_psi442_cut_a(self):
-        data = schmidt_decompose(make_psi442(), (0,))
+        data = schmidt_decompose(make_psi442(), 0)
         assert np.allclose(data.coefficients, [0.5] * 4, atol=1e-12)
 
     def test_product_state_single_coefficient(self):
-        data = schmidt_decompose(basis_state((2, 2), (0, 0)), (0,))
+        data = schmidt_decompose(basis_state((2, 2), (0, 0)), 0)
         assert abs(data.coefficients[0] - 1) < 1e-12
         assert np.all(data.coefficients[1:] < 1e-12)
 
     def test_coefficients_sorted_and_normalized(self, rng):
         psi = haar_random_state((4, 4, 2), rng)
-        data = schmidt_decompose(psi, (1,))
+        data = schmidt_decompose(psi, 1)
         assert np.all(np.diff(data.coefficients) <= 1e-15)
         assert abs(np.sum(data.coefficients**2) - 1) < 1e-10
 
@@ -127,18 +120,13 @@ class TestSchmidt:
             for _ in range(250):
                 psi = haar_random_state(dims, rng)
                 for party in range(len(dims)):
-                    assert_reduced_state_rebuilt(psi, (party,))
-
-    def test_reconstruction_middle_cut(self, rng):
-        for _ in range(50):
-            assert_reduced_state_rebuilt(haar_random_state((4, 4, 2), rng), (1, 2))
+                    assert_reduced_state_rebuilt(psi, party)
 
     def test_improper_cut_rejected(self):
         psi = make_psi442()
-        with pytest.raises(ValueError):
-            schmidt_decompose(psi, (0, 1, 2))
-        with pytest.raises(ValueError):
-            schmidt_decompose(psi, ())
+        for party in (3, -1):
+            with pytest.raises(ValueError, match=rf"party {party} out of range \(have 3 parties\)"):
+                schmidt_decompose(psi, party)
 
 
 def gram_rank(psi: PureState, party: int, tol=1e-8) -> int:
@@ -191,7 +179,7 @@ def test_local_unitaries_keep_a_truncated_rank(seed, party, data):
     truncated = np.moveaxis(((u * s) @ vh).reshape(amps.shape), 0, party).reshape(-1)
     local = functools.reduce(np.kron, [ginibre_unitary(d, rng) for d in dims])
     moved = PureState(dims, local @ truncated / np.linalg.norm(truncated))
-    assert np.all(schmidt_decompose(moved, (party,)).coefficients[cap:] <= 1e-12)
+    assert np.all(schmidt_decompose(moved, party).coefficients[cap:] <= 1e-12)
 
 
 class TestFidelity:

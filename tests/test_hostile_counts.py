@@ -9,7 +9,8 @@ at most the mean.  A count, or a correlator's eigenvalue-class sum, that
 numpy's Poisson sampler cannot resample is refused by setting name, and so
 is a setting whose records lack any of its outcomes, and so is a setting
 that is not one of the 21 of the standard plan.  A record with a key
-beyond ``setting``, ``outcome`` and ``counts`` is refused by that key.
+beyond ``setting``, ``outcome`` and ``counts`` is refused by that key, and
+one whose count is not a whole number by its setting and outcome.
 """
 
 import contextlib
@@ -64,6 +65,7 @@ MUTATIONS = st.one_of(
     _on_outcome("pile"),
     _on_outcome("one-hot"),
     st.tuples(st.just("scale"), st.floats(-4.0, 6.0).map(lambda e: 10.0**e)),
+    st.tuples(st.just("fraction"), st.integers(0, 2**32 - 1)),
     st.tuples(st.just("few"), st.integers(0, 2**32 - 1)),
     _on_outcome("spike", st.integers(10**12, 10**18)),
     _on_outcome("omit"),
@@ -102,8 +104,12 @@ def mutated(mutations) -> list[dict]:
             for r in data:
                 r["counts"] = draw.randint(0, 2)
         elif kind == "scale":
+            # Every count scaled and rounded to a whole number: low and high totals.
             for r in data:
-                r["counts"] *= args[0]
+                r["counts"] = round(r["counts"] * args[0])
+        elif kind == "fraction":
+            # Half a count added to one record.
+            data[args[0] % len(data)]["counts"] += 0.5
         elif kind == "spike":
             label, outcome, count = args
             for r in data:
@@ -161,17 +167,21 @@ def partial_settings(data) -> set:
             if label in LABELS and outcomes != set(setting_outcomes(label))}
 
 
-def first_unknown_keys(data) -> list:
-    """The unknown keys of the first record refused as records are read; [] if it has none.
+def first_record_refusal(data) -> str:
+    """What names the first record refused for its keys or a fractional count; "" if none is.
 
-    Records are read in file order, each checked for its keys and then its count.
+    Records are read in file order, each checked for its keys, then for a count
+    beyond the limit (named by ``unresamplable``), then for a fraction.
     """
     for r in data:
         if r.keys() != RECORD_KEYS:
-            return sorted(r.keys() - RECORD_KEYS)
+            return f"has unknown keys {sorted(r.keys() - RECORD_KEYS)}"
         if r["counts"] > POISSON_LIMIT:
-            return []
-    return []
+            return ""
+        if r["counts"] % 1:
+            return (f"counts for setting {r['setting']!r} outcome {r['outcome']!r} "
+                    f"must be a whole number")
+    return ""
 
 
 def strict_json(text):
@@ -217,12 +227,15 @@ def check_report(command, path):
 # A setting outside the 21, from a descending level pair or a sigma token turned into Z.
 @example(mutations=[("relabel", "Y01-Y01-X01", 0, "descending")])
 @example(mutations=[("relabel", "X02-X02-Z", 1, "Z"), ("scale", 10.0)])
+# Half a count on one record is refused; doubled to a whole number again, it is read.
+@example(mutations=[("fraction", 7)])
+@example(mutations=[("fraction", 7), ("scale", 2.0)])
 # A key is named before a count beyond the limit in a later record.
 @example(mutations=[("extra-key", 0, "note"), ("spike", "Z", "111", 10**18),
                     ("scale", 10.0)])
 def test_hostile_count_files_end_cleanly(mutations):
     data = mutated(mutations)
-    unknown = first_unknown_keys(data)
+    refusal = first_record_refusal(data)
     over_count, over_sum = unresamplable(data)
     partial = partial_settings(data)
     foreign = {r["setting"] for r in data} - set(LABELS)
@@ -247,8 +260,8 @@ def test_hostile_count_files_end_cleanly(mutations):
             named = (over_count or partial | foreign
                      or (over_sum if complete and command[0] in RESAMPLING else set()))
             assert code == 2 or not foreign, (command, err)
-            if unknown:
-                assert code == 2 and f"has unknown keys {unknown}" in err, (command, err)
+            if refusal:
+                assert code == 2 and refusal in err, (command, err)
             elif foreign and not (over_count or partial):
                 assert any(f"setting {label!r} is not one of the 21 settings" in err
                            for label in foreign), (command, err)

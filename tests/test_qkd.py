@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from layered442 import qkd
-from layered442.circuit import DIMS_442, make_psi442, noisy_psi442
-from layered442.fixtures import load_measured_qkd_rows, qber_report_from_row
+from layered442.circuit import ALL_KETS, DIMS_442, make_psi442, noisy_psi442
+from layered442.fixtures import load_measured_elements, load_measured_qkd_rows, qber_report_from_row
 from layered442.qkd import (
     LAYERS,
     LayerSpec,
@@ -16,7 +16,6 @@ from layered442.qkd import (
     asymptotic_key_rate,
     binary_entropy,
     compute_qbers,
-    empirical_mutual_information,
     key_map_ab,
     key_map_abc,
     qbers_from_counts,
@@ -27,7 +26,7 @@ from layered442.qkd import (
 from layered442.tomography import CountRecord, born_probabilities, count_tables, setting_outcomes
 from layered442.witness import OFFDIAG_PAIRS
 
-from conftest import choice_draws
+from conftest import choice_draws, empirical_mutual_information
 
 
 V_EXP = 0.8493
@@ -86,14 +85,25 @@ class TestLayers:
 
     @pytest.mark.parametrize("kets", [("000", "221"), ("111", "000"), ("00", "22")])
     def test_layer_is_a_signal_pair(self, kets):
-        message = f"layer 'bad': kets {kets!r} are not a signal pair of witness.OFFDIAG_PAIRS"
+        message = f"layer 'bad' with kets {kets!r} is not one of the 4 layers of qkd.LAYERS"
         with pytest.raises(ValueError, match=re.escape(message)):
             LayerSpec("bad", kets)
 
+    @pytest.mark.parametrize("layer_id, kets", [
+        ("AB-layer-0", ("000", "111")),  # a layer's id on another layer's pair
+        ("x", ("000", "331")),  # a signal pair that is no layer
+    ], ids=["mislabelled", "no-layer"])
+    def test_layer_is_one_of_the_four(self, layer_id, kets):
+        # Both are signal pairs, so only the table of LAYERS can refuse them.
+        assert kets in OFFDIAG_PAIRS
+        message = f"layer {layer_id!r} with kets {kets!r} is not one of the 4 layers of qkd.LAYERS"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LayerSpec(layer_id, kets)
+        assert all(LayerSpec(layer.layer_id, layer.kets) == layer for layer in LAYERS)
+
     def test_key_map_separates_every_signal_pair(self):
-        # Any layer a LayerSpec can hold gives its two kets different key bits.
-        for pair in OFFDIAG_PAIRS:
-            layer = LayerSpec("any", pair)
+        # Every layer gives its two kets different key bits.
+        for layer in LAYERS:
             key_map = key_map_abc if layer.is_tripartite else key_map_ab
             assert all(key_map(a) != key_map(b) for a, b in layer.digit_pairs)
 
@@ -265,9 +275,9 @@ class TestComputeQbers:
             # each standard layer keeps its own stream
             drawn = choice_draws(rho, layer.x_setting_label, 500, 6, qkd._X_STREAM_BASE + index)
             assert np.array_equal(sample_x_rounds(rho, layer, 500, seed=6), drawn)
-        custom = LayerSpec("ABC-custom", ("000", "331"))
-        with pytest.raises(ValueError, match="'ABC-custom' is not one of the standard LAYERS"):
-            sample_x_rounds(rho, custom, 500, seed=6)
+        # No other layer can be built, so none can be drawn.
+        with pytest.raises(ValueError, match="'ABC-custom' with kets .* is not one of the 4 layers"):
+            LayerSpec("ABC-custom", ("000", "331"))
 
     def test_sift_fractions_near_half(self):
         rho = make_psi442().density()
@@ -355,3 +365,37 @@ class TestIdealCorrelations:
         mi = empirical_mutual_information(x, x)
         p = np.mean(x)
         assert abs(mi - binary_entropy(float(p))) < 1e-9
+
+
+class TestPublishedElementRecord:
+    """The published Z QBERs from the published diagonals, read as a ``Z`` count table."""
+
+    @staticmethod
+    def deviations(layer_id) -> dict[str, float]:
+        # qbers_from_counts' own Z weights: sifted, error, then A's and B's pairings.
+        layer = next(layer for layer in LAYERS if layer.layer_id == layer_id)
+        diagonal = {e.bra: e.value for e in load_measured_elements()[0]}
+        pair_keys, z_weights, _ = qkd._layer_weights(layer)
+        total, error, *pair_errors = z_weights @ [diagonal[ket] for ket in ALL_KETS]
+        predicted = {"qber_z": error / total}
+        predicted |= {f"qber_z_{key}": e / total for key, e in zip(pair_keys, pair_errors)}
+        row = next(row for row in load_measured_qkd_rows() if row["layer"] == layer_id)
+        # In units of the published sigma; qber_z_bc has no published value.
+        return {key: (predicted[key] - row[key][0]) / row[key][1]
+                for key in ("qber_z", "qber_z_ab", "qber_z_ac") if key in row}
+
+    @pytest.mark.parametrize("layer_id", ["ABC-layer-0", "ABC-layer-1"])
+    def test_ghz_layers_reproduce_the_published_z_qbers(self, layer_id):
+        deviations = self.deviations(layer_id)
+        assert set(deviations) == {"qber_z", "qber_z_ab", "qber_z_ac"}
+        assert all(abs(d) <= 1.0 for d in deviations.values()), deviations
+
+    @pytest.mark.parametrize("layer_id, sigmas", [("AB-layer-0", 4.2), ("AB-layer-1", 2.0)])
+    def test_ab_layers_sifted_on_a_and_b_only_stay_apart(self, layer_id, sigmas):
+        # An open question, stated rather than hidden: sifted on A and B alone, whatever C
+        # reads, the AB layers predict qber_z 0.0360 and 0.0222 against the published
+        # 0.015 and 0.012 (sigma 0.005).  Sifting also on C's digit would bring both within
+        # sigma, but changes every AB row of qkd's reports.
+        deviations = self.deviations(layer_id)
+        assert list(deviations) == ["qber_z"]
+        assert round(deviations["qber_z"], 1) == sigmas

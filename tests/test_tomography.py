@@ -316,7 +316,26 @@ class TestSimulateCounts:
             json.dump([vars(r) for r in records], fh, indent=1)
             fh.write("\n")
         assert (path / "new.json").read_bytes() == (path / "dumped.json").read_bytes()
-        assert records_from_json(path / "new.json") == records
+        # Read back whole counts; the first record with a fraction is refused by name.
+        fractional = [r for r in records if r.counts % 1]
+        if not fractional:
+            assert records_from_json(path / "new.json") == records
+        else:
+            with pytest.raises(ValueError) as refusal:
+                records_from_json(path / "new.json")
+            first = fractional[0]
+            assert str(refusal.value) == (f"counts for setting {first.setting!r} outcome "
+                                          f"{first.outcome!r} must be a whole number, "
+                                          f"got {first.counts!r}")
+
+    def test_whole_counts_read_as_written(self, tmp_path):
+        # A whole-valued float is a whole count, read as written.
+        path = tmp_path / "counts.json"
+        path.write_text('[{"setting": "Z", "outcome": "000", "counts": 300.0},'
+                        ' {"setting": "Z", "outcome": "001", "counts": 7}]')
+        records = records_from_json(path)
+        assert records == [CountRecord("Z", "000", 300.0), CountRecord("Z", "001", 7)]
+        assert [type(r.counts) for r in records] == [float, int]
 
     def test_json_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

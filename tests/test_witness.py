@@ -16,11 +16,11 @@ from layered442.witness import (
     ElementEstimate,
     RankVectorClass,
     certify_dimensionality,
+    class_bound_with_cuts,
     fidelity_from_elements,
     fmax_class_bound,
     ghz_witness_value,
     gme_witnessed,
-    max_overlap_bounded_rank,
     offdiag_from_correlators,
     offdiag_from_pair_correlators,
     search_class_overlap,
@@ -85,28 +85,40 @@ def ideal_elements():
     return diags, offs
 
 
+def cut_overlap(target: PureState, party: int, cap: int) -> float:
+    """``cuts[(party, cap)]`` of :func:`class_bound_with_cuts`, for a class that caps only ``party``."""
+    ranks = list(target.dims)
+    ranks[party] = cap
+    return class_bound_with_cuts(target, RankVectorClass(ranks))[1][(party, cap)]
+
+
 class TestMaxOverlap:
     def test_rank3_cut_a(self):
-        assert abs(max_overlap_bounded_rank(make_psi442(), (0,), 3) - 0.75) < 1e-12
+        assert abs(cut_overlap(make_psi442(), 0, 3) - 0.75) < 1e-12
 
     def test_rank2_cut_c(self):
-        assert abs(max_overlap_bounded_rank(make_psi442(), (2,), 2) - 1.0) < 1e-12
+        assert abs(cut_overlap(make_psi442(), 2, 2) - 1.0) < 1e-12
 
     def test_full_rank_reaches_one(self, rng):
         psi = haar_random_state((4, 4, 2), rng)
-        assert abs(max_overlap_bounded_rank(psi, (0,), 4) - 1.0) < 1e-10
+        assert abs(cut_overlap(psi, 0, 4) - 1.0) < 1e-10
+        # A cap above the party's Schmidt rank (2 here, from the qubit) also reaches one.
+        assert abs(cut_overlap(haar_random_state((4, 2), rng), 0, 3) - 1.0) < 1e-10
 
     def test_monotone_in_rank(self, rng):
         psi = haar_random_state((4, 4, 2), rng)
-        vals = [max_overlap_bounded_rank(psi, (1,), r) for r in range(1, 5)]
+        vals = [cut_overlap(psi, 1, r) for r in range(1, 5)]
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals, vals[1:]))
         assert abs(vals[-1] - 1.0) < 1e-10
 
     def test_rank_range(self):
-        with pytest.raises(ValueError):
-            max_overlap_bounded_rank(make_psi442(), (0,), 0)
-        with pytest.raises(ValueError):
-            max_overlap_bounded_rank(make_psi442(), (0,), 5)
+        # Caps below 1 are refused; members never cap a party above its dimension.
+        with pytest.raises(ValueError, match=r"rank caps must be >= 1, got \(0, 4, 2\)"):
+            RankVectorClass((0, 4, 2))
+        with pytest.raises(ValueError, match=r"no permutation of \(5, 4, 2\) fits dims"):
+            RankVectorClass((5, 4, 2)).members((4, 4, 2))
+        assert RankVectorClass((4, 2, 1)).members((4, 4, 2)) == (
+            (1, 4, 2), (2, 4, 1), (4, 1, 2), (4, 2, 1))
 
 
 class TestClassBound:
@@ -178,7 +190,7 @@ def _full_sweep_search(target, cls, restarts, seed):
     for k, member in enumerate(members[:restarts]):
         rng = np.random.default_rng([seed, k, 3])
         starts = [haar_random_state(target.dims, rng) for _ in range(k, restarts, len(members))]
-        isometries = [(p, np.stack([schmidt_decompose(phi, (p,)).left_vectors[:, :cap]
+        isometries = [(p, np.stack([schmidt_decompose(phi, p).left_vectors[:, :cap]
                                     for phi in starts]))
                       for p, cap in enumerate(member) if cap < target.dims[p]]
         for _ in range(witness.SEESAW_SWEEPS):
