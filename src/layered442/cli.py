@@ -354,9 +354,10 @@ def cmd_fmax(cfg: RunConfig, args) -> int:
     }
     status = EXIT_OK
     if args.restarts > 0:
-        overlaps = witness.search_class_overlap(target, cls, args.restarts, cfg.seed)
+        overlaps, sweeps = witness.search_class_overlap(target, cls, args.restarts, cfg.seed)
         payload["search"] = {
             "restarts": args.restarts,
+            "sweeps": sweeps,
             "max_overlap": float(overlaps.max()),
             "min_overlap": float(overlaps.min()),
             "within_bound": bool(overlaps.max() <= bound + 1e-6),

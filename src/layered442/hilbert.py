@@ -155,7 +155,9 @@ def keyed_rng(seed, *key) -> np.random.Generator:
     QKD rounds                             (seed, stream, 2); stream 1 is
                                            ``Z``, 2 to 5 the X settings of
                                            the four ``qkd.LAYERS``
-    class-overlap search starts            (seed, member index, 3)
+    class-overlap search starts            (seed, member index, 3); drawn
+                                           only by a member with two or
+                                           more constrained parties
     =====================================  ==============================
 
     A setting's standard-plan index is its position in

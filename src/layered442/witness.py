@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ALL_KETS, SIGNAL_KETS
-from .hilbert import PureState, haar_random_state, keyed_rng, schmidt_decompose
+from .hilbert import PureState, _check_seed, haar_random_state, keyed_rng, schmidt_decompose
 
 __all__ = [
     "OFFDIAG_PAIRS",
@@ -55,7 +55,7 @@ GME_BOUND = 0.5
 # Tolerance for renormalizing a diagonal set whose sum drifted from 1.
 DIAG_SUM_TOL = 0.02
 
-#: Most sweeps over the constrained parties per :func:`search_class_overlap` call.
+#: Most sweeps over the constrained parties per class member in :func:`search_class_overlap`.
 SEESAW_SWEEPS = 10
 
 #: Overlap rise up to which a sweep counts as converged, ending the search.
@@ -318,43 +318,70 @@ def _sweep(target: PureState, isometries):
     return isometries, overlaps
 
 
+def _schmidt_truncation(target: PureState, party: int, cap: int) -> tuple[PureState, float]:
+    """The best state of Schmidt rank at most ``cap`` across ``party``, and its overlap.
+
+    The state is the target with ``party`` projected onto its top-cap left
+    Schmidt vectors, renormalized.  Its overlap with the target is the
+    squared norm ||P|target>||^2 of that projection, the cap largest squared
+    Schmidt coefficients, computed before the renormalization can round it.
+    """
+    u = schmidt_decompose(target, party).left_vectors[:, :cap]
+    tensor = np.moveaxis(target.amplitudes.reshape(target.dims), party, 0)
+    projected = u @ (u.conj().T @ tensor.reshape(target.dims[party], -1))
+    overlap = float(np.vdot(projected, projected).real)
+    state = np.moveaxis(projected.reshape(tensor.shape), 0, party) / np.sqrt(overlap)
+    return PureState(target.dims, state), overlap
+
+
 def search_class_overlap(target: PureState, cls: RankVectorClass, restarts: int,
-                         seed: int) -> np.ndarray:
+                         seed: int) -> tuple[np.ndarray, int]:
     """See-saw search for the best class overlap with ``target``.
 
-    Restart r runs member k = ``r % len(members)`` and starts each
-    constrained party (rank cap below its dimension) on the top-cap left
+    Restart r runs member k = ``r % len(members)``.  A member with two or
+    more constrained parties (rank cap below the dimension) starts each of
+    them, once per restart and in restart order, on the top-cap left
     Schmidt vectors of a Haar-random state drawn from the stream
-    ``keyed_rng(seed, k, 3)``.  A member with two or more constrained
-    parties draws one start per restart, in restart order.  Sweeps,
-    batched over its restarts, then raise the overlap of the class state
-    supported on the local subspaces; they stop once no restart's overlap
-    rises by more than ``SEESAW_TOL``, after at most ``SEESAW_SWEEPS``.
-    A member with at most one constrained party projects the target by no
-    other isometry, so its first sweep is the exact optimum whatever the
-    start: it draws one start, runs one sweep and gives every one of its
-    restarts that overlap.  Returns the per-restart overlaps, one per
-    requested restart, so ``restarts`` in ``fmax_report.json`` still counts
-    every one; none may exceed the analytic class bound.
+    ``keyed_rng(seed, k, 3)``.  Sweeps, batched over its restarts, then
+    raise the overlap of the class state supported on the local subspaces;
+    they stop once no restart's overlap rises by more than ``SEESAW_TOL``,
+    after at most ``SEESAW_SWEEPS``.  A member with one constrained party
+    is built, not searched: its optimum is the target's Schmidt truncation
+    on that party (:func:`_schmidt_truncation`), and every one of its
+    restarts reports that overlap.  A member with no constrained party
+    reports ||target||^2.  Neither draws anything or runs a sweep.
+
+    Returns the per-restart overlaps, one per requested restart, so
+    ``restarts`` in ``fmax_report.json`` still counts every one (none may
+    exceed the analytic class bound), and the number of sweeps run over
+    all members.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    seed = _check_seed(seed)
     members = cls.members(target.dims)
     out = np.empty(restarts)
+    sweeps = 0
     for k, member in enumerate(members[:restarts]):
-        rng = keyed_rng(seed, k, _SEARCH_STREAM)
         constrained = [(p, cap) for p, cap in enumerate(member) if cap < target.dims[p]]
-        sweeps = SEESAW_SWEEPS if len(constrained) > 1 else 1
-        count = len(range(k, restarts, len(members))) if sweeps > 1 else 1
-        starts = [haar_random_state(target.dims, rng) for _ in range(count)]
+        if not constrained:
+            out[k::len(members)] = np.vdot(target.amplitudes, target.amplitudes).real
+            continue
+        if len(constrained) == 1:
+            out[k::len(members)] = _schmidt_truncation(target, *constrained[0])[1]
+            continue
+        rng = keyed_rng(seed, k, _SEARCH_STREAM)
+        starts = [haar_random_state(target.dims, rng) for _ in range(k, restarts, len(members))]
         isometries = [(p, np.stack([schmidt_decompose(phi, p).left_vectors[:, :cap]
                                     for phi in starts]))
                       for p, cap in constrained]
         isometries, overlaps = _sweep(target, isometries)
-        for _ in range(sweeps - 1):
+        sweeps += 1
+        for _ in range(SEESAW_SWEEPS - 1):
             previous = overlaps
             isometries, overlaps = _sweep(target, isometries)
+            sweeps += 1
             if np.all(overlaps - previous <= SEESAW_TOL):
                 break
         out[k::len(members)] = overlaps
-    return out
+    return out, sweeps

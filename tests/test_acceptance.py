@@ -70,7 +70,7 @@ def test_criterion_1_state_construction():
 def test_criterion_2_witness_bound_and_search_oracle():
     t0 = time.perf_counter()
     bound = fmax_class_bound(make_psi442(), RankVectorClass((4, 3, 2)))
-    overlaps = search_class_overlap(
+    overlaps, _ = search_class_overlap(
         make_psi442(), RankVectorClass((4, 3, 2)), restarts=10000, seed=442
     )
     elapsed = time.perf_counter() - t0

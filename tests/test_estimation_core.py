@@ -239,8 +239,10 @@ SEEDED_ENTRY_POINTS = pytest.mark.parametrize("draw", [
     lambda seed: sample_z_rounds(noisy_psi442(0.9), 1, seed),
     lambda seed: sample_x_rounds(noisy_psi442(0.9), LAYERS[0], 1, seed),
     lambda seed: search_class_overlap(PSI, RankVectorClass((4, 3, 2)), 1, seed),
+    # No constrained party: the seed is checked though nothing is drawn.
+    lambda seed: search_class_overlap(PSI, RankVectorClass((4, 4, 2)), 1, seed),
 ], ids=["simulate_counts", "monte_carlo_errors", "subspace_monte_carlo", "sample_z_rounds",
-        "sample_x_rounds", "search_class_overlap"])
+        "sample_x_rounds", "search_class_overlap", "search_class_overlap-442"])
 
 
 @SEEDED_ENTRY_POINTS

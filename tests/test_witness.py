@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from layered442.circuit import ALL_KETS, make_psi442
 from layered442.fixtures import REFERENCE_EXPERIMENT, load_measured_elements
-from layered442.hilbert import PureState, fidelity_pure, haar_random_state, schmidt_decompose
+from layered442.hilbert import (
+    PureState,
+    fidelity_pure,
+    haar_random_state,
+    rank_vector,
+    schmidt_decompose,
+)
 from layered442 import witness
 from layered442.witness import (
     OFFDIAG_PAIRS,
@@ -145,14 +151,14 @@ class TestClassBound:
         assert abs(bound - 1.0) < 1e-12
 
     def test_search_stays_below_bound(self):
-        overlaps = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)),
-                                        restarts=300, seed=7)
+        overlaps, _ = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)),
+                                           restarts=300, seed=7)
         assert overlaps.max() <= 0.75 + 1e-6
         assert overlaps.max() >= 0.749
 
     def test_search_deterministic(self):
-        a = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
-        b = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
+        a, _ = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
+        b, _ = search_class_overlap(make_psi442(), RankVectorClass((4, 3, 2)), 20, seed=3)
         assert np.array_equal(a, b)
 
 
@@ -167,7 +173,7 @@ VALID_CLASSES = tuple(
 @given(ranks=st.sampled_from(VALID_CLASSES), seed=st.integers(0, 2**16))
 def test_search_never_exceeds_class_bound(ranks, seed):
     target, cls = make_psi442(), RankVectorClass(ranks)
-    overlaps = search_class_overlap(target, cls, 4, seed)
+    overlaps, _ = search_class_overlap(target, cls, 4, seed)
     assert overlaps.max() <= fmax_class_bound(target, cls) + 1e-9
 
 
@@ -176,7 +182,7 @@ def test_search_reaches_every_class_bound():
     missed = {}
     for ranks in VALID_CLASSES:
         cls = RankVectorClass(ranks)
-        best, bound = search_class_overlap(target, cls, 4, 0).max(), fmax_class_bound(target, cls)
+        best, bound = search_class_overlap(target, cls, 4, 0)[0].max(), fmax_class_bound(target, cls)
         if best < bound - 1e-9:
             missed[ranks] = (best, bound)
     assert len(VALID_CLASSES) == 56
@@ -209,21 +215,22 @@ def test_early_stopping_matches_full_sweeps(seed):
     for target in (make_psi442(), haar_random_state((4, 4, 2), np.random.default_rng(seed))):
         for ranks in VALID_CLASSES:
             cls = RankVectorClass(ranks)
-            found = search_class_overlap(target, cls, 12, seed)
+            found, _ = search_class_overlap(target, cls, 12, seed)
             full = _full_sweep_search(target, cls, 12, seed)
-            if all(_constrained_parties(m) <= 1 for m in cls.members(target.dims)):
-                # One start and one sweep give exactly what every start and sweep give.
+            if all(_constrained_parties(m) == 0 for m in cls.members(target.dims)):
+                # ||target||^2, whatever the start and the sweeps.
                 assert np.array_equal(found, full), ranks
             else:
+                # A one-cut member's closed form reaches the same optimum by other arithmetic.
                 assert np.max(np.abs(found - full)) <= 1e-12, ranks
 
 
 @pytest.mark.parametrize("ranks, restarts, starts, sweeps", [
-    ((4, 3, 2), 100, 2, 2),  # one constrained party per member: one start and one sweep each
-    ((4, 3, 2), 1, 1, 1),    # the one start a 1-restart search still draws and decomposes
+    ((4, 3, 2), 100, 0, 0),  # one constrained party per member: built, not searched
+    ((4, 3, 2), 1, 0, 0),
     ((3, 3, 2), 100, 100, None),  # two constrained parties: one start per restart
 ])
-def test_search_draws_one_start_per_member_with_one_constrained_party(
+def test_search_draws_no_start_for_members_with_one_constrained_party(
         monkeypatch, ranks, restarts, starts, sweeps):
     calls = {"starts": 0, "sweeps": 0}
 
@@ -235,18 +242,46 @@ def test_search_draws_one_start_per_member_with_one_constrained_party(
 
     monkeypatch.setattr(witness, "haar_random_state", counted("starts", witness.haar_random_state))
     monkeypatch.setattr(witness, "_sweep", counted("sweeps", witness._sweep))
-    overlaps = search_class_overlap(make_psi442(), RankVectorClass(ranks), restarts, seed=11)
+    overlaps, reported = search_class_overlap(make_psi442(), RankVectorClass(ranks), restarts,
+                                              seed=11)
     assert overlaps.shape == (restarts,)
     assert calls["starts"] == starts
+    assert reported == calls["sweeps"]
     if sweeps is not None:
         assert calls["sweeps"] == sweeps
+
+
+#: Classes with a member that constrains exactly one party of (4, 4, 2).
+ONE_CUT_CLASSES = tuple(
+    ranks for ranks in VALID_CLASSES
+    if any(_constrained_parties(m) == 1 for m in RankVectorClass(ranks).members((4, 4, 2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranks=st.sampled_from(ONE_CUT_CLASSES), seed=st.integers(0, 2**32 - 1))
+def test_one_cut_member_is_built_at_its_cut_overlap(ranks, seed):
+    target = haar_random_state((4, 4, 2), np.random.default_rng(seed))
+    cls = RankVectorClass(ranks)
+    members = cls.members(target.dims)
+    _, cuts = class_bound_with_cuts(target, cls)
+    full = _full_sweep_search(target, cls, 12, seed)
+    for k, member in enumerate(members):
+        if _constrained_parties(member) != 1:
+            continue
+        (p, cap), = [(p, cap) for p, cap in enumerate(member) if cap < target.dims[p]]
+        state, reported = witness._schmidt_truncation(target, p, cap)
+        overlap = abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2
+        assert rank_vector(state)[p] <= cap
+        assert abs(overlap - reported) <= 1e-12
+        assert abs(overlap - min(cuts[(q, c)] for q, c in enumerate(member))) <= 1e-12
+        assert overlap >= full[k::len(members)].max() - 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(ranks=st.sampled_from(VALID_CLASSES), seed=st.integers(0, 2**16))
 def test_search_never_exceeds_bound_on_haar_targets(ranks, seed):
     target, cls = haar_random_state((4, 4, 2), np.random.default_rng(seed)), RankVectorClass(ranks)
-    overlaps = search_class_overlap(target, cls, 4, seed)
+    overlaps, _ = search_class_overlap(target, cls, 4, seed)
     assert overlaps.max() <= fmax_class_bound(target, cls) + 1e-9
 
 
